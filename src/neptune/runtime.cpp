@@ -95,7 +95,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
     flight_actor_ = obs::FlightRecorder::register_actor(task_name_);
   }
 
-  // --- wiring (called by Runtime::submit, before start) ----------------------
+  // --- wiring (called by Runtime::deploy, before start) ----------------------
   std::unique_ptr<StreamSource> source;
   std::unique_ptr<StreamProcessor> processor;
   std::vector<OutLink> outputs;
@@ -1026,84 +1026,50 @@ void register_tcp_transport_telemetry() {
   (void)once;
 }
 
-}  // namespace
-
-Runtime::EdgeChannel Runtime::make_edge_channel(granules::Resource* src, granules::Resource* dst,
-                                                const ChannelConfig& config,
-                                                const fault::EdgeId& edge,
-                                                OperatorMetrics* src_metrics,
-                                                OperatorMetrics* dst_metrics,
-                                                const std::shared_ptr<Job>& job) {
-  fault::FaultInjector* injector = options_.fault_injector.get();
-  if (src == dst || options_.cross_resource_transport == EdgeTransport::kInproc) {
-    // SPSC fast lane: each edge has exactly one producing StreamBuffer
-    // (serialized by its mutex, including timer-thread flushes) and one
-    // consuming task. Fault-injector wrappers may replay frames from IO
-    // threads, so keep the mutex lane under injection (test-only path).
-    ChannelConfig inproc_cfg = config;
-    inproc_cfg.spsc = (injector == nullptr);
-    InprocPipe pipe = make_inproc_pipe(inproc_cfg);
-    std::shared_ptr<ChannelSender> sender = pipe.sender;
-    std::shared_ptr<ChannelReceiver> receiver = pipe.receiver;
-    if (injector) {
-      sender = injector->wrap_sender(edge, std::move(sender), src->io_loop(0));
-      receiver = injector->wrap_receiver(edge, std::move(receiver), dst->io_loop(0));
-    }
-    return {sender, receiver};
-  }
+// Supervised TCP half-edges: the receiver keeps a persistent listener on
+// `port` (0 = ephemeral) so the sender can reconnect after any failure; the
+// injector (if any) is applied *inside* the supervision, per connection
+// incarnation.
+std::shared_ptr<fault::SupervisedTcpReceiver> supervised_receiver(
+    const RuntimeOptions& options, granules::Resource* dst, uint16_t port,
+    const ChannelConfig& config, const fault::EdgeId& edge, OperatorMetrics& dst_metrics) {
   register_tcp_transport_telemetry();
-  if (options_.supervise_tcp) {
-    // Self-healing TCP edge: the receiver keeps a persistent listener so
-    // the sender can reconnect after any failure; the injector (if any) is
-    // applied *inside* the supervision, per connection incarnation.
-    auto receiver = std::make_shared<fault::SupervisedTcpReceiver>(
-        dst->io_loop(0), config, options_.supervisor, edge, injector,
-        dst_metrics ? &dst_metrics->corrupt_frames_dropped : nullptr);
-    auto sender = std::make_shared<fault::SupervisedTcpSender>(
-        src->io_loop(0), receiver->port(), config, options_.supervisor, edge, injector,
-        src_metrics ? &src_metrics->reconnects : nullptr,
-        // Weak: channels can outlive the Job (resources hold task refs), and
-        // a late budget-exhaustion report must not touch a freed Job.
-        [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
-          if (auto j = weak_job.lock()) j->report_failure(what);
-        });
-    return {sender, receiver};
-  }
-  // Raw loopback TCP (supervision disabled): one ephemeral-port listener
-  // per edge on the destination resource's IO loop; the source resource
-  // connects. The listener is discarded once the edge's connection is
-  // accepted, so a dropped connection is unrecoverable.
-  // Runtime edges carry only wire frames, so the connection carves them at
-  // the socket (framed_rx) and the decode fast path stays zero-copy.
-  ChannelConfig tcp_cfg = config;
-  tcp_cfg.framed_rx = true;
-  auto accepted = std::make_shared<std::promise<std::shared_ptr<TcpConnection>>>();
-  auto accepted_future = accepted->get_future();
-  EventLoop* dst_loop = dst->io_loop(0);
-  TcpListener listener(dst_loop, /*port=*/0, [accepted, dst_loop, tcp_cfg](int fd) {
-    auto conn = TcpConnection::create(dst_loop, fd, tcp_cfg);
-    conn->start();
-    accepted->set_value(std::move(conn));
-  });
+  return std::make_shared<fault::SupervisedTcpReceiver>(
+      dst->io_loop(0), config, options.supervisor, edge, options.fault_injector.get(),
+      &dst_metrics.corrupt_frames_dropped, port);
+}
 
-  int fd = tcp_connect_blocking(listener.port());
-  if (fd < 0) throw GraphError("TCP edge setup failed: connect()");
-  auto client = TcpConnection::create(src->io_loop(0), fd, tcp_cfg);
-  client->start();
-  if (accepted_future.wait_for(std::chrono::seconds(5)) != std::future_status::ready)
-    throw GraphError("TCP edge setup failed: accept timeout");
-  std::shared_ptr<ChannelSender> sender = client;
-  std::shared_ptr<ChannelReceiver> receiver = accepted_future.get();
-  if (injector) {
-    sender = injector->wrap_sender(edge, std::move(sender), src->io_loop(0));
-    receiver = injector->wrap_receiver(edge, std::move(receiver), dst_loop);
-  }
-  return {sender, receiver};
+std::shared_ptr<ChannelSender> supervised_sender(
+    const RuntimeOptions& options, granules::Resource* src, uint16_t port,
+    const ChannelConfig& config, const fault::EdgeId& edge, OperatorMetrics& src_metrics,
+    const std::shared_ptr<Job>& job) {
+  register_tcp_transport_telemetry();
+  return std::make_shared<fault::SupervisedTcpSender>(
+      src->io_loop(0), port, config, options.supervisor, edge, options.fault_injector.get(),
+      &src_metrics.reconnects,
+      // Weak: channels can outlive the Job (resources hold task refs), and
+      // a late budget-exhaustion report must not touch a freed Job.
+      [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
+        if (auto j = weak_job.lock()) j->report_failure(what);
+      });
+}
+
+// Cross-process edges need a pre-agreed port; a missing entry means the
+// slice plan and the topology drifted apart — fail before any task runs.
+uint16_t planned_port(const decltype(SliceOptions::edge_ports)& edge_ports,
+                      const fault::EdgeId& edge) {
+  auto it = edge_ports.find({edge.link_id, edge.src_instance, edge.dst_instance});
+  if (it == edge_ports.end())
+    throw GraphError("submit_slice: no port assigned for cross-process edge link=" +
+                     std::to_string(edge.link_id) + " src=" + std::to_string(edge.src_instance) +
+                     " dst=" + std::to_string(edge.dst_instance) +
+                     " — was the port plan built from the same topology?");
+  return it->second;
 }
 
 // Topology descriptor for incident bundles: flightdump joins flush events
 // (link id) to downstream dispatches through the links' "to" field.
-void Runtime::note_topology_for_incidents(const StreamGraph& graph) {
+void note_topology_for_incidents(const StreamGraph& graph) {
   auto reporter = obs::IncidentReporter::active();
   if (!reporter) return;
   JsonObject topo;
@@ -1128,26 +1094,136 @@ void Runtime::note_topology_for_incidents(const StreamGraph& graph) {
   reporter->note_topology(JsonValue(std::move(topo)));
 }
 
+struct EdgeChannel {
+  std::shared_ptr<ChannelSender> sender;
+  std::shared_ptr<ChannelReceiver> receiver;
+};
+
+/// Create the channel for one edge; TCP when the endpoints live on
+/// different resources and the runtime is configured for it. `edge`
+/// identifies the edge to the fault injector; the metrics receive
+/// robustness counters; `job` receives permanent-failure reports.
+EdgeChannel make_edge_channel(const RuntimeOptions& options, granules::Resource* src,
+                              granules::Resource* dst, const ChannelConfig& config,
+                              const fault::EdgeId& edge, OperatorMetrics& src_metrics,
+                              OperatorMetrics& dst_metrics, const std::shared_ptr<Job>& job) {
+  if (src != dst && options.cross_resource_transport == EdgeTransport::kTcp &&
+      options.supervise_tcp) {
+    // Self-healing TCP edge: both supervised halves in this process, the
+    // sender connecting to the receiver's ephemeral listener.
+    auto receiver = supervised_receiver(options, dst, /*port=*/0, config, edge, dst_metrics);
+    return {supervised_sender(options, src, receiver->port(), config, edge, src_metrics, job),
+            receiver};
+  }
+  fault::FaultInjector* injector = options.fault_injector.get();
+  EdgeChannel pipe;
+  if (src == dst || options.cross_resource_transport == EdgeTransport::kInproc) {
+    // SPSC fast lane: each edge has exactly one producing StreamBuffer
+    // (serialized by its mutex, including timer-thread flushes) and one
+    // consuming task. Fault-injector wrappers may replay frames from IO
+    // threads, so keep the mutex lane under injection (test-only path).
+    ChannelConfig inproc_cfg = config;
+    inproc_cfg.spsc = (injector == nullptr);
+    InprocPipe inproc = make_inproc_pipe(inproc_cfg);
+    pipe = {inproc.sender, inproc.receiver};
+  } else {
+    register_tcp_transport_telemetry();
+    // Raw loopback TCP (supervision disabled): one ephemeral-port listener
+    // per edge on the destination resource's IO loop; the source resource
+    // connects. The listener is discarded once the edge's connection is
+    // accepted, so a dropped connection is unrecoverable.
+    // Runtime edges carry only wire frames, so the connection carves them at
+    // the socket (framed_rx) and the decode fast path stays zero-copy.
+    ChannelConfig tcp_cfg = config;
+    tcp_cfg.framed_rx = true;
+    auto accepted = std::make_shared<std::promise<std::shared_ptr<TcpConnection>>>();
+    auto accepted_future = accepted->get_future();
+    EventLoop* dst_loop = dst->io_loop(0);
+    TcpListener listener(dst_loop, /*port=*/0, [accepted, dst_loop, tcp_cfg](int fd) {
+      auto conn = TcpConnection::create(dst_loop, fd, tcp_cfg);
+      conn->start();
+      accepted->set_value(std::move(conn));
+    });
+
+    int fd = tcp_connect_blocking(listener.port());
+    if (fd < 0) throw GraphError("TCP edge setup failed: connect()");
+    auto client = TcpConnection::create(src->io_loop(0), fd, tcp_cfg);
+    client->start();
+    if (accepted_future.wait_for(std::chrono::seconds(5)) != std::future_status::ready)
+      throw GraphError("TCP edge setup failed: accept timeout");
+    pipe = {client, accepted_future.get()};
+  }
+  if (injector) {
+    pipe.sender = injector->wrap_sender(edge, std::move(pipe.sender), src->io_loop(0));
+    pipe.receiver = injector->wrap_receiver(edge, std::move(pipe.receiver), dst->io_loop(0));
+  }
+  return pipe;
+}
+
+}  // namespace
+
 std::shared_ptr<Job> Runtime::submit(const StreamGraph& graph) {
   graph.validate();
+  // Every resource is local: explicit pins wrap onto the owned resources,
+  // unpinned operators are spread round-robin one instance at a time.
+  Placement placement;
+  size_t placement_cursor = 0;
+  for (const OperatorDecl& op : graph.operators()) {
+    auto& hosts = placement.emplace_back();
+    for (uint32_t inst = 0; inst < op.parallelism; ++inst) {
+      size_t res_index = op.resource >= 0 ? static_cast<size_t>(op.resource) : placement_cursor++;
+      hosts.push_back(resources_[res_index % resources_.size()].get());
+    }
+  }
+  return deploy(graph, placement, /*edge_ports=*/{});
+}
+
+std::shared_ptr<Job> Runtime::submit_slice(const StreamGraph& graph, const SliceOptions& slice) {
+  graph.validate();
+  if (resources_.size() != 1)
+    throw GraphError("submit_slice: the worker Runtime must own exactly one resource "
+                     "(one OS process per resource)");
+  if (slice.total_resources == 0 || slice.local_resource >= slice.total_resources)
+    throw GraphError("submit_slice: local_resource " + std::to_string(slice.local_resource) +
+                     " out of range for " + std::to_string(slice.total_resources) + " resources");
+  // Only the slice's resource is local, hosted by this Runtime's one
+  // resource; every other operator lives in a peer process. Multi-process
+  // placement must be explicit: round-robin placement would need every
+  // worker to agree on a cursor, which is exactly the kind of implicit
+  // coordination that breaks under recovery. topology_lint --slices N
+  // checks this statically.
+  Placement placement;
+  for (const OperatorDecl& op : graph.operators()) {
+    if (op.resource < 0 || static_cast<size_t>(op.resource) >= slice.total_resources)
+      throw GraphError("submit_slice: operator '" + op.id +
+                       "' needs an explicit resource pin in [0, " +
+                       std::to_string(slice.total_resources) + ")");
+    bool local = static_cast<size_t>(op.resource) == slice.local_resource;
+    placement.emplace_back(op.parallelism, local ? resources_[0].get() : nullptr);
+  }
+  return deploy(graph, placement, slice.edge_ports);
+}
+
+std::shared_ptr<Job> Runtime::deploy(const StreamGraph& graph, const Placement& placement,
+                                     const decltype(SliceOptions::edge_ports)& edge_ports) {
   const GraphConfig& cfg = graph.config();
 
   note_topology_for_incidents(graph);
 
   auto job = std::shared_ptr<Job>(new Job());
   job->name_ = graph.name();
-  for (auto& r : resources_) job->resources_.push_back(r.get());
   if (options_.quarantine.enabled)
     job->dead_letters_ = std::make_shared<fault::DeadLetterQueue>(options_.quarantine.dead_letter);
 
-  // 1. Instantiate operator instances.
-  //    op_instances[op_index][instance] -> InstanceRuntime.
+  // 1. Instantiate the local operator instances.
+  //    op_instances[op_index][instance] -> InstanceRuntime, null when a peer
+  //    process hosts the instance.
   std::vector<std::vector<std::shared_ptr<detail::InstanceRuntime>>> op_instances;
-  size_t placement_cursor = 0;
   for (size_t oi = 0; oi < graph.operators().size(); ++oi) {
     const OperatorDecl& op = graph.operators()[oi];
-    std::vector<std::shared_ptr<detail::InstanceRuntime>> instances;
+    auto& instances = op_instances.emplace_back(op.parallelism);
     for (uint32_t inst = 0; inst < op.parallelism; ++inst) {
+      if (placement[oi][inst] == nullptr) continue;
       auto rt = std::make_shared<detail::InstanceRuntime>(op.id, inst, op.parallelism, op.kind,
                                                           cfg, job.get());
       if (op.kind == OperatorKind::kSource) {
@@ -1155,104 +1231,118 @@ std::shared_ptr<Job> Runtime::submit(const StreamGraph& graph) {
       } else {
         rt->processor = op.processor_factory();
       }
-      // Placement: explicit resource pin, or round-robin over resources.
-      size_t res_index = op.resource >= 0 ? static_cast<size_t>(op.resource) % resources_.size()
-                                          : placement_cursor++ % resources_.size();
-      rt->resource = resources_[res_index].get();
+      rt->resource = placement[oi][inst];
       rt->dlq = job->dead_letters_;
       rt->packet_deadline_ns = options_.quarantine.packet_deadline_ns;
-      instances.push_back(std::move(rt));
+      instances[inst] = std::move(rt);
     }
-    op_instances.push_back(std::move(instances));
   }
 
-  // 2. Wire links: one channel + StreamBuffer per (src-instance, dst-instance).
+  // 2. Wire every edge with a local end: one channel + StreamBuffer per
+  //    (src-instance, dst-instance). Both ends local: make_edge_channel.
+  //    Local sender, remote receiver: a supervised TCP sender connecting to
+  //    the peer's planned port. Remote sender, local receiver: a supervised
+  //    TCP receiver bound to that port. Cross-process edges are always
+  //    supervised: recovery depends on their reconnect + exactly-once
+  //    retransmission protocol.
   for (const LinkDecl& link : graph.links()) {
-    auto& srcs = op_instances[link.from_op];
-    auto& dsts = op_instances[link.to_op];
+    const auto& srcs = op_instances[link.from_op];
+    const auto& dsts = op_instances[link.to_op];
     link.partitioning->prepare(static_cast<uint32_t>(srcs.size()));
     StreamBufferConfig buf_cfg = link.buffer_override.value_or(cfg.buffer);
 
-    for (auto& src : srcs) {
-      if (src->outputs.size() <= link.output_index) src->outputs.resize(link.output_index + 1);
-      detail::OutLink& out = src->outputs[link.output_index];
-      out.decl = &link;
-      out.partitioning = link.partitioning;
-      for (auto& dst : dsts) {
-        fault::EdgeId edge_id{link.link_id, src->instance_index(), dst->instance_index()};
-        EdgeChannel pipe = make_edge_channel(src->resource, dst->resource, cfg.channel, edge_id,
-                                             &src->metrics(), &dst->metrics(), job);
-        auto codec = std::make_shared<SelectiveCodec>(link.compression);
+    for (uint32_t si = 0; si < srcs.size(); ++si) {
+      detail::InstanceRuntime* src = srcs[si].get();
+      if (src) {
+        if (src->outputs.size() <= link.output_index) src->outputs.resize(link.output_index + 1);
+        src->outputs[link.output_index].decl = &link;
+        src->outputs[link.output_index].partitioning = link.partitioning;
+      }
+      // out.dst holds one buffer per destination instance, in instance
+      // order — partitioning indexes into it by dst instance.
+      for (uint32_t di = 0; di < dsts.size(); ++di) {
+        detail::InstanceRuntime* dst = dsts[di].get();
+        if (!src && !dst) continue;
+        fault::EdgeId edge_id{link.link_id, si, di};
+        EdgeChannel pipe;
+        if (src && dst) {
+          pipe = make_edge_channel(options_, src->resource, dst->resource, cfg.channel, edge_id,
+                                   src->metrics(), dst->metrics(), job);
+          std::vector<std::pair<std::string, std::string>> labels{
+              {"job", job->name_},
+              {"link", std::to_string(link.link_id)},
+              {"src", std::to_string(si)},
+              {"dst", std::to_string(di)}};
+          // In-flight gauge for this edge: bytes accepted by the sender that
+          // the receiver has not yet pulled — the backpressure-visible lag.
+          job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
+              {"neptune_edge_inflight_bytes", labels, obs::SeriesKind::kGauge,
+               "Bytes in flight on the edge (sent minus received)"},
+              [tx = pipe.sender, rx = pipe.receiver] {
+                uint64_t sent = tx->bytes_sent();
+                uint64_t recv = rx->bytes_received();
+                return sent > recv ? static_cast<double>(sent - recv) : 0.0;
+              }));
+          // Fast-lane ratio for in-process edges: fraction of sends that went
+          // through the lock-free SPSC ring with a pooled (zero-copy) frame.
+          if (auto inproc = std::dynamic_pointer_cast<InprocChannel>(pipe.sender)) {
+            job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
+                {"neptune_inproc_fastlane_ratio", labels, obs::SeriesKind::kGauge,
+                 "Fraction of inproc sends taking the zero-copy SPSC fast lane"},
+                [inproc] {
+                  uint64_t total = inproc->total_sends();
+                  if (total == 0) return 1.0;
+                  return static_cast<double>(inproc->fastlane_sends()) /
+                         static_cast<double>(total);
+                }));
+          }
+        } else if (src) {
+          pipe.sender = supervised_sender(options_, src->resource,
+                                          planned_port(edge_ports, edge_id), cfg.channel,
+                                          edge_id, src->metrics(), job);
+        } else {
+          pipe.receiver = supervised_receiver(options_, dst->resource,
+                                              planned_port(edge_ports, edge_id), cfg.channel,
+                                              edge_id, dst->metrics());
+        }
         // Backpressure wiring (paper §III-B4): when the edge drains below
         // its low watermark, re-notify the *sending* task; when data lands
         // on an empty edge, notify the *receiving* task. Raw pointers are
         // safe: both instances are owned by the Job that owns the channel.
-        detail::InstanceRuntime* src_raw = src.get();
-        pipe.sender->set_writable_callback([src_raw] {
-          obs::FlightRecorder::record(src_raw->flight_actor(),
-                                      obs::FlightEventType::kWatermarkLow);
-          src_raw->resource->notify_data(src_raw->task_id);
-        });
-        detail::InstanceRuntime* dst_raw = dst.get();
-        pipe.receiver->set_data_callback(
-            [dst_raw] { dst_raw->resource->notify_data(dst_raw->task_id); });
-        out.dst.push_back(std::make_unique<StreamBuffer>(link.link_id, src->instance_index(),
-                                                         pipe.sender, codec, buf_cfg,
-                                                         &src->metrics(),
-                                                         &SteadyClock::instance(), link.shed));
-        // In-flight gauge for this edge: bytes accepted by the sender that
-        // the receiver has not yet pulled — the backpressure-visible lag.
-        job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
-            {"neptune_edge_inflight_bytes",
-             {{"job", job->name_},
-              {"link", std::to_string(link.link_id)},
-              {"src", std::to_string(src->instance_index())},
-              {"dst", std::to_string(dst->instance_index())}},
-             obs::SeriesKind::kGauge,
-             "Bytes in flight on the edge (sent minus received)"},
-            [tx = pipe.sender, rx = pipe.receiver] {
-              uint64_t sent = tx->bytes_sent();
-              uint64_t recv = rx->bytes_received();
-              return sent > recv ? static_cast<double>(sent - recv) : 0.0;
-            }));
-        // Fast-lane ratio for in-process edges: fraction of sends that went
-        // through the lock-free SPSC ring with a pooled (zero-copy) frame.
-        if (auto inproc = std::dynamic_pointer_cast<InprocChannel>(pipe.sender)) {
-          job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
-              {"neptune_inproc_fastlane_ratio",
-               {{"job", job->name_},
-                {"link", std::to_string(link.link_id)},
-                {"src", std::to_string(src->instance_index())},
-                {"dst", std::to_string(dst->instance_index())}},
-               obs::SeriesKind::kGauge,
-               "Fraction of inproc sends taking the zero-copy SPSC fast lane"},
-              [inproc] {
-                uint64_t total = inproc->total_sends();
-                if (total == 0) return 1.0;
-                return static_cast<double>(inproc->fastlane_sends()) /
-                       static_cast<double>(total);
-              }));
+        if (src) {
+          pipe.sender->set_writable_callback([src] {
+            obs::FlightRecorder::record(src->flight_actor(), obs::FlightEventType::kWatermarkLow);
+            src->resource->notify_data(src->task_id);
+          });
+          auto codec = std::make_shared<SelectiveCodec>(link.compression);
+          src->outputs[link.output_index].dst.push_back(std::make_unique<StreamBuffer>(
+              link.link_id, si, pipe.sender, codec, buf_cfg, &src->metrics(),
+              &SteadyClock::instance(), link.shed));
         }
-        detail::InEdge edge;
-        edge.rx = pipe.receiver;
-        edge.link_id = link.link_id;
-        edge.src_instance = src->instance_index();
-        edge.lossy = link.shed.policy != ShedPolicy::kNone;
-        dst->inputs.push_back(std::move(edge));
+        if (dst) {
+          pipe.receiver->set_data_callback([dst] { dst->resource->notify_data(dst->task_id); });
+          detail::InEdge edge;
+          edge.rx = pipe.receiver;
+          edge.link_id = link.link_id;
+          edge.src_instance = si;
+          edge.lossy = link.shed.policy != ShedPolicy::kNone;
+          dst->inputs.push_back(std::move(edge));
+        }
       }
     }
   }
 
-  // 3. Deploy tasks (the callbacks above read task_id at fire time, and
-  //    nothing fires before start()).
+  // 3. Deploy the local tasks (the callbacks above read task_id at fire
+  //    time, and nothing fires before start()).
   for (auto& group : op_instances) {
     for (auto& inst : group) {
+      if (!inst) continue;
       inst->task_id = inst->resource->deploy(inst, granules::ScheduleSpec::on_data());
       job->instances_.push_back(inst);
     }
   }
 
-  // 4. Telemetry per instance, 5. flush timers (shared with submit_slice).
+  // 4. Telemetry per instance, 5. flush timers.
   register_job_telemetry(job);
   install_flush_timers(job, cfg);
 
@@ -1398,195 +1488,6 @@ void Runtime::install_flush_timers(const std::shared_ptr<Job>& job, const GraphC
       job->timer_loops_.push_back(loop);
     }
   }
-}
-
-namespace {
-
-// Cross-process edges need a pre-agreed port; a missing entry means the
-// slice plan and the topology drifted apart — fail before any task runs.
-uint16_t slice_edge_port(const SliceOptions& slice, const fault::EdgeId& edge) {
-  auto it = slice.edge_ports.find({edge.link_id, edge.src_instance, edge.dst_instance});
-  if (it == slice.edge_ports.end())
-    throw GraphError("submit_slice: no port assigned for cross-process edge link=" +
-                     std::to_string(edge.link_id) + " src=" + std::to_string(edge.src_instance) +
-                     " dst=" + std::to_string(edge.dst_instance) +
-                     " — was the port plan built from the same topology?");
-  return it->second;
-}
-
-}  // namespace
-
-std::shared_ptr<Job> Runtime::submit_slice(const StreamGraph& graph, const SliceOptions& slice) {
-  graph.validate();
-  const GraphConfig& cfg = graph.config();
-  if (resources_.size() != 1)
-    throw GraphError("submit_slice: the worker Runtime must own exactly one resource "
-                     "(one OS process per resource)");
-  if (slice.total_resources == 0 || slice.local_resource >= slice.total_resources)
-    throw GraphError("submit_slice: local_resource " + std::to_string(slice.local_resource) +
-                     " out of range for " + std::to_string(slice.total_resources) + " resources");
-  // Multi-process placement must be explicit: round-robin placement would
-  // need every worker to agree on a cursor, which is exactly the kind of
-  // implicit coordination that breaks under recovery. topology_lint
-  // --slices N checks this statically.
-  for (const OperatorDecl& op : graph.operators()) {
-    if (op.resource < 0 || static_cast<size_t>(op.resource) >= slice.total_resources)
-      throw GraphError("submit_slice: operator '" + op.id +
-                       "' needs an explicit resource pin in [0, " +
-                       std::to_string(slice.total_resources) + ")");
-  }
-
-  note_topology_for_incidents(graph);
-
-  auto job = std::shared_ptr<Job>(new Job());
-  job->name_ = graph.name();
-  granules::Resource* local = resources_[0].get();
-  job->resources_.push_back(local);
-  if (options_.quarantine.enabled)
-    job->dead_letters_ = std::make_shared<fault::DeadLetterQueue>(options_.quarantine.dead_letter);
-
-  // 1. Instantiate only the local operators' instances; remote operators
-  //    keep empty slots so link wiring can index by op.
-  std::vector<std::vector<std::shared_ptr<detail::InstanceRuntime>>> op_instances(
-      graph.operators().size());
-  for (size_t oi = 0; oi < graph.operators().size(); ++oi) {
-    const OperatorDecl& op = graph.operators()[oi];
-    if (static_cast<size_t>(op.resource) != slice.local_resource) continue;
-    for (uint32_t inst = 0; inst < op.parallelism; ++inst) {
-      auto rt = std::make_shared<detail::InstanceRuntime>(op.id, inst, op.parallelism, op.kind,
-                                                          cfg, job.get());
-      if (op.kind == OperatorKind::kSource) {
-        rt->source = op.source_factory();
-      } else {
-        rt->processor = op.processor_factory();
-      }
-      rt->resource = local;
-      rt->dlq = job->dead_letters_;
-      rt->packet_deadline_ns = options_.quarantine.packet_deadline_ns;
-      op_instances[oi].push_back(std::move(rt));
-    }
-  }
-
-  // 2. Wire links. Three cases per link: both endpoints local (the in-process
-  //    channel, exactly as submit()), local sender -> remote receiver (a
-  //    supervised TCP sender connecting to the peer's pre-agreed port), and
-  //    remote sender -> local receiver (a supervised TCP receiver bound to
-  //    that port). Cross-process edges are always supervised: recovery
-  //    depends on their reconnect + exactly-once retransmission protocol.
-  fault::FaultInjector* injector = options_.fault_injector.get();
-  for (const LinkDecl& link : graph.links()) {
-    const OperatorDecl& from = graph.operators()[link.from_op];
-    const OperatorDecl& to = graph.operators()[link.to_op];
-    const bool src_local = static_cast<size_t>(from.resource) == slice.local_resource;
-    const bool dst_local = static_cast<size_t>(to.resource) == slice.local_resource;
-    if (!src_local && !dst_local) continue;
-    StreamBufferConfig buf_cfg = link.buffer_override.value_or(cfg.buffer);
-
-    if (src_local) {
-      auto& srcs = op_instances[link.from_op];
-      link.partitioning->prepare(static_cast<uint32_t>(srcs.size()));
-      for (auto& src : srcs) {
-        if (src->outputs.size() <= link.output_index) src->outputs.resize(link.output_index + 1);
-        detail::OutLink& out = src->outputs[link.output_index];
-        out.decl = &link;
-        out.partitioning = link.partitioning;
-        // out.dst must hold exactly `to.parallelism` buffers in destination-
-        // instance order — partitioning indexes into it by dst instance.
-        for (uint32_t di = 0; di < to.parallelism; ++di) {
-          fault::EdgeId edge_id{link.link_id, src->instance_index(), di};
-          std::shared_ptr<ChannelSender> sender;
-          detail::InstanceRuntime* src_raw = src.get();
-          if (dst_local) {
-            auto& dst = op_instances[link.to_op][di];
-            EdgeChannel pipe = make_edge_channel(local, local, cfg.channel, edge_id,
-                                                 &src->metrics(), &dst->metrics(), job);
-            sender = pipe.sender;
-            detail::InstanceRuntime* dst_raw = dst.get();
-            pipe.receiver->set_data_callback(
-                [dst_raw] { dst_raw->resource->notify_data(dst_raw->task_id); });
-            detail::InEdge edge;
-            edge.rx = pipe.receiver;
-            edge.link_id = link.link_id;
-            edge.src_instance = src->instance_index();
-            edge.lossy = link.shed.policy != ShedPolicy::kNone;
-            dst->inputs.push_back(std::move(edge));
-            job->telemetry_.push_back(obs::TelemetryRegistry::global().register_series(
-                {"neptune_edge_inflight_bytes",
-                 {{"job", job->name_},
-                  {"link", std::to_string(link.link_id)},
-                  {"src", std::to_string(src->instance_index())},
-                  {"dst", std::to_string(di)}},
-                 obs::SeriesKind::kGauge,
-                 "Bytes in flight on the edge (sent minus received)"},
-                [tx = pipe.sender, rx = pipe.receiver] {
-                  uint64_t sent = tx->bytes_sent();
-                  uint64_t recv = rx->bytes_received();
-                  return sent > recv ? static_cast<double>(sent - recv) : 0.0;
-                }));
-          } else {
-            register_tcp_transport_telemetry();
-            uint16_t port = slice_edge_port(slice, edge_id);
-            sender = std::make_shared<fault::SupervisedTcpSender>(
-                local->io_loop(0), port, cfg.channel, options_.supervisor, edge_id, injector,
-                &src->metrics().reconnects,
-                [weak_job = std::weak_ptr<Job>(job)](const std::string& what) {
-                  if (auto j = weak_job.lock()) j->report_failure(what);
-                });
-          }
-          sender->set_writable_callback([src_raw] {
-            obs::FlightRecorder::record(src_raw->flight_actor(),
-                                        obs::FlightEventType::kWatermarkLow);
-            src_raw->resource->notify_data(src_raw->task_id);
-          });
-          auto codec = std::make_shared<SelectiveCodec>(link.compression);
-          out.dst.push_back(std::make_unique<StreamBuffer>(link.link_id, src->instance_index(),
-                                                           sender, codec, buf_cfg,
-                                                           &src->metrics(),
-                                                           &SteadyClock::instance(), link.shed));
-        }
-      }
-    } else {
-      // Remote sender, local receiver(s): bind the pre-agreed port and wait
-      // for the peer process to connect. One receiver per (remote src
-      // instance, local dst instance) pair, mirroring the sender side.
-      register_tcp_transport_telemetry();
-      auto& dsts = op_instances[link.to_op];
-      for (uint32_t si = 0; si < from.parallelism; ++si) {
-        for (auto& dst : dsts) {
-          fault::EdgeId edge_id{link.link_id, si, dst->instance_index()};
-          uint16_t port = slice_edge_port(slice, edge_id);
-          auto receiver = std::make_shared<fault::SupervisedTcpReceiver>(
-              local->io_loop(0), cfg.channel, options_.supervisor, edge_id, injector,
-              &dst->metrics().corrupt_frames_dropped, port);
-          detail::InstanceRuntime* dst_raw = dst.get();
-          receiver->set_data_callback(
-              [dst_raw] { dst_raw->resource->notify_data(dst_raw->task_id); });
-          detail::InEdge edge;
-          edge.rx = receiver;
-          edge.link_id = link.link_id;
-          edge.src_instance = si;
-          edge.lossy = link.shed.policy != ShedPolicy::kNone;
-          dst->inputs.push_back(std::move(edge));
-        }
-      }
-    }
-  }
-
-  // 3. Deploy local tasks; 4./5. telemetry + flush timers as in submit().
-  for (auto& group : op_instances) {
-    for (auto& inst : group) {
-      inst->task_id = inst->resource->deploy(inst, granules::ScheduleSpec::on_data());
-      job->instances_.push_back(inst);
-    }
-  }
-  register_job_telemetry(job);
-  install_flush_timers(job, cfg);
-
-  {
-    std::lock_guard lk(jobs_mu_);
-    jobs_.push_back(job);
-  }
-  return job;
 }
 
 }  // namespace neptune

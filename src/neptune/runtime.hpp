@@ -122,7 +122,6 @@ class Job {
   std::vector<obs::TelemetryRegistry::Handle> telemetry_;
   std::vector<EventLoop::TimerId> timers_;  // (loop, id) pairs below
   std::vector<EventLoop*> timer_loops_;
-  std::vector<granules::Resource*> resources_;
 
   mutable std::mutex done_mu_;
   std::condition_variable done_cv_;
@@ -223,16 +222,18 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Validate, deploy and return the job (not yet started).
+  /// Validate, deploy and return the job (not yet started). Every resource
+  /// is local; unpinned operators are placed round-robin per instance.
   std::shared_ptr<Job> submit(const StreamGraph& graph);
 
   /// Deploy one resource's slice of `graph` into this Runtime (which must
-  /// own exactly one resource — the local one). Every operator needs an
-  /// explicit `resource` pin in [0, slice.total_resources); operators pinned
-  /// elsewhere are not instantiated, and the edges to/from them become
-  /// supervised TCP endpoints on the ports in `slice.edge_ports`. The
-  /// returned Job completes when all *local* instances drain — end-of-stream
-  /// propagates across processes via the supervised channels' EOF frames.
+  /// own exactly one resource — the local one). Same planner as submit(),
+  /// but only `slice.local_resource` is local: every operator needs an
+  /// explicit pin in [0, slice.total_resources), operators pinned elsewhere
+  /// are not instantiated, and edges with one local end become supervised
+  /// TCP half-edges on the ports in `slice.edge_ports`. The returned Job
+  /// completes when all *local* instances drain — end-of-stream propagates
+  /// across processes via the supervised channels' EOF frames.
   std::shared_ptr<Job> submit_slice(const StreamGraph& graph, const SliceOptions& slice);
 
   granules::Resource* resource(size_t i) { return resources_.at(i).get(); }
@@ -248,22 +249,14 @@ class Runtime {
   void shutdown();
 
  private:
-  struct EdgeChannel {
-    std::shared_ptr<ChannelSender> sender;
-    std::shared_ptr<ChannelReceiver> receiver;
-  };
-  /// Create the channel for one edge; TCP when the endpoints live on
-  /// different resources and the runtime is configured for it. `edge`
-  /// identifies the edge to the fault injector; the metrics pointers
-  /// receive robustness counters; `job` receives permanent-failure reports.
-  EdgeChannel make_edge_channel(granules::Resource* src, granules::Resource* dst,
-                                const ChannelConfig& config, const fault::EdgeId& edge,
-                                OperatorMetrics* src_metrics, OperatorMetrics* dst_metrics,
-                                const std::shared_ptr<Job>& job);
-
-  // Shared tail of submit()/submit_slice(): per-instance telemetry series
-  // and periodic flush timers (statics — they only touch the Job).
-  static void note_topology_for_incidents(const StreamGraph& graph);
+  /// The one deployment path behind submit() and submit_slice().
+  /// placement[op][instance] is the local resource hosting the instance, or
+  /// nullptr when a peer process hosts it; an edge with one local end rides
+  /// supervised TCP on its `edge_ports` port.
+  using Placement = std::vector<std::vector<granules::Resource*>>;
+  std::shared_ptr<Job> deploy(const StreamGraph& graph, const Placement& placement,
+                              const decltype(SliceOptions::edge_ports)& edge_ports);
+  // Steps of deploy() that only touch the Job (statics).
   static void register_job_telemetry(const std::shared_ptr<Job>& job);
   static void install_flush_timers(const std::shared_ptr<Job>& job, const GraphConfig& cfg);
 

@@ -64,9 +64,6 @@ int run_worker(const WorkerOptions& opts) {
     StreamGraph graph = scenarios::build_scenario_graph(spec, trace, ctx, /*fastlane=*/false);
 
     SlicePlan plan = plan_slices(graph, opts.total_resources);
-    if (opts.ports.size() != plan.cross_edges.size())
-      throw GraphError("worker: got " + std::to_string(opts.ports.size()) + " ports for " +
-                       std::to_string(plan.cross_edges.size()) + " cross edges");
     plan.ports = opts.ports;
     SliceOptions slice = slice_options_for(plan, opts.resource);
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <set>
+#include <thread>
 
 #include "common/clock.hpp"
 #include "common/crc32.hpp"
@@ -122,12 +124,17 @@ TEST(Clock, StopwatchMeasuresElapsed) {
 }
 
 TEST(ThreadUtil, ContextSwitchCountersReadable) {
-  auto cs = read_context_switches();
-  // On Linux /proc is present and a running process has switched at least once.
-  EXPECT_GT(cs.total(), 0u);
-  auto t = read_thread_context_switches();
-  EXPECT_GE(cs.total(), 0u);
-  (void)t;
+  // Sleeping blocks the calling thread, which the kernel counts as a
+  // voluntary switch on that thread; counters never go backwards. (A
+  // process-wide total > 0 is not guaranteed for a process that has never
+  // blocked, so the test makes its own switch instead of assuming one.)
+  ContextSwitches process_before = read_context_switches();
+  ContextSwitches before = read_thread_context_switches();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ContextSwitches after = read_thread_context_switches();
+  EXPECT_GT(after.voluntary, before.voluntary);
+  EXPECT_GE(after.nonvoluntary, before.nonvoluntary);
+  EXPECT_GE(read_context_switches().total(), process_before.total());
 }
 
 TEST(ThreadUtil, SetThreadNameDoesNotCrash) {

@@ -5,6 +5,8 @@
 // reintroduces a copy, these counters move and the test fails.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/frame_buf.hpp"
 #include "net/tcp_transport.hpp"
 #include "neptune/runtime.hpp"
@@ -124,36 +126,44 @@ TEST(ZeroCopyRuntime, RawTcpRelayNeverCopiesAFrame) {
 }
 
 TEST(ZeroCopyRuntime, FastlaneRatioGaugeReportsOne) {
-  Runtime rt(/*resources=*/1, {.worker_threads = 1, .io_threads = 1});
-  auto sink = std::make_shared<CountingSink>();
-  StreamGraph g("fastlane_gauge", small_buffers());
-  g.add_source("src", [] { return std::make_unique<BytesSource>(5000, 64); }, 1, 0);
-  g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
-    struct Fwd : StreamProcessor {
-      std::shared_ptr<CountingSink> inner;
-      explicit Fwd(std::shared_ptr<CountingSink> s) : inner(std::move(s)) {}
-      void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
-    };
-    return std::make_unique<Fwd>(sink);
-  }, 1, 0);
-  g.connect("src", "sink");
+  // Both deployments share one planner, so a slice-local edge registers the
+  // same gauge as a submit() edge.
+  for (bool slice : {false, true}) {
+    SCOPED_TRACE(slice ? "submit_slice" : "submit");
+    Runtime rt(/*resources=*/1, {.worker_threads = 1, .io_threads = 1});
+    auto sink = std::make_shared<CountingSink>();
+    StreamGraph g(slice ? "fastlane_gauge_slice" : "fastlane_gauge", small_buffers());
+    g.add_source("src", [] { return std::make_unique<BytesSource>(5000, 64); }, 1, 0);
+    g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
+      struct Fwd : StreamProcessor {
+        std::shared_ptr<CountingSink> inner;
+        explicit Fwd(std::shared_ptr<CountingSink> s) : inner(std::move(s)) {}
+        void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
+      };
+      return std::make_unique<Fwd>(sink);
+    }, 1, 0);
+    g.connect("src", "sink");
 
-  auto job = rt.submit(g);
-  job->start();
-  ASSERT_TRUE(job->wait(60s));
-  EXPECT_EQ(sink->count(), 5000u);
+    // Default SliceOptions: local resource 0 of total_resources 1.
+    auto job = slice ? rt.submit_slice(g, SliceOptions{}) : rt.submit(g);
+    job->start();
+    ASSERT_TRUE(job->wait(60s));
+    EXPECT_EQ(sink->count(), 5000u);
 
-  // Every inproc send took the SPSC fast lane with a pooled frame.
-  obs::TelemetryRegistry& reg = obs::TelemetryRegistry::global();
-  bool found = false;
-  for (const auto& sample : reg.sample().values) {
-    auto desc = reg.descriptor(sample.series);
-    if (desc && desc->name == "neptune_inproc_fastlane_ratio") {
-      found = true;
-      EXPECT_DOUBLE_EQ(sample.value, 1.0);
+    // Every inproc send took the SPSC fast lane with a pooled frame.
+    obs::TelemetryRegistry& reg = obs::TelemetryRegistry::global();
+    const std::pair<std::string, std::string> job_label{"job", g.name()};
+    bool found = false;
+    for (const auto& sample : reg.sample().values) {
+      auto desc = reg.descriptor(sample.series);
+      if (desc && desc->name == "neptune_inproc_fastlane_ratio" &&
+          std::find(desc->labels.begin(), desc->labels.end(), job_label) != desc->labels.end()) {
+        found = true;
+        EXPECT_DOUBLE_EQ(sample.value, 1.0);
+      }
     }
+    EXPECT_TRUE(found) << "fastlane gauge not registered for job " << g.name();
   }
-  EXPECT_TRUE(found) << "fastlane gauge not registered";
 }
 
 TEST(ZeroCopyRuntime, LegacyPerPacketOperatorsStillWork) {
