@@ -39,7 +39,7 @@ std::string scenario_path(const std::string& name) {
 proc::ChaosPlan two_kill_plan() {
   return proc::ChaosPlan::from_json(JsonValue::parse(R"({"seed": 7, "actions": [
     {"action": "kill", "resource": 1, "at_events": 15000},
-    {"action": "kill", "resource": 0, "at_events": 45000}
+    {"action": "kill", "resource": 0, "at_events": 10000}
   ]})"),
                                     2);
 }

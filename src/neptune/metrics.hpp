@@ -158,7 +158,10 @@ inline OperatorMetricsSnapshot snapshot_of(const OperatorMetrics& m) {
   s.packets_quarantined = m.packets_quarantined.load(std::memory_order_relaxed);
   s.deadline_overruns = m.deadline_overruns.load(std::memory_order_relaxed);
   s.watchdog_stalls = m.watchdog_stalls.load(std::memory_order_relaxed);
-  s.exec_begin_ns = m.exec_begin_ns.load(std::memory_order_relaxed);
+  // Acquire pairs with the release that ends each execution: a snapshot
+  // that sees an idle instance also sees the operator state it left
+  // (Job::quiesce -> checkpoint_state reads that state from another thread).
+  s.exec_begin_ns = m.exec_begin_ns.load(std::memory_order_acquire);
   s.sink_latency_count = m.sink_latency.count();
   s.sink_latency_saturated = m.sink_latency.saturated_count();
   if (s.sink_latency_count > 0) {

@@ -71,12 +71,16 @@ struct InEdge {
   bool lossy = false;
 };
 
+class InstanceRuntime;
+
 /// Sending half of one output link: one StreamBuffer per destination
-/// instance, plus the link's partitioning scheme.
+/// instance, plus the link's partitioning scheme — or, for a chained link
+/// (docs/INTERNALS.md §16), the one downstream instance that emits call
+/// directly, with `dst` left empty.
 struct OutLink {
-  const LinkDecl* decl = nullptr;
   std::shared_ptr<PartitioningScheme> partitioning;
   std::vector<std::unique_ptr<StreamBuffer>> dst;
+  std::shared_ptr<InstanceRuntime> chained;
 };
 
 /// One parallel instance of a stream operator: a Granules task + Emitter.
@@ -107,6 +111,9 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
   std::shared_ptr<fault::DeadLetterQueue> dlq;
   /// > 0: dispatches slower than this are counted in deadline_overruns.
   int64_t packet_deadline_ns = 0;
+  /// Set when an upstream instance drives this one by direct calls over
+  /// this link: no task, channel or InEdge of its own (operator chaining).
+  std::optional<uint32_t> chain_link;
 
   OperatorMetrics& metrics() { return metrics_; }
   const OperatorMetrics& metrics() const { return metrics_; }
@@ -137,6 +144,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
       throw GraphError(task_name_ + ": emit on unknown output link " + std::to_string(link));
     if (packet.event_time_ns() == 0) packet.set_event_time_ns(now_ns());
     OutLink& out = outputs[link];
+    if (out.chained) return emit_chained(*out.chained, packet);
     uint32_t n = static_cast<uint32_t>(out.dst.size());
     uint32_t pick = out.partitioning->select(packet, instance_, n);
     if (pick == kBroadcastInstance) {
@@ -170,6 +178,10 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
       return emit(link, std::move(p));
     }
     OutLink& out = outputs[link];
+    if (out.chained) {
+      view.materialize(chain_scratch_);
+      return emit_chained(*out.chained, chain_scratch_);
+    }
     uint32_t n = static_cast<uint32_t>(out.dst.size());
     uint32_t pick = out.partitioning->select_view(view, instance_, n);
     std::span<const uint8_t> raw = view.raw();
@@ -200,14 +212,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
   // --- granules::ComputationalTask ---------------------------------------------
   const std::string& name() const override { return task_name_; }
 
-  void initialize(granules::TaskContext&) override {
-    if (kind_ == OperatorKind::kSource) {
-      source->open(instance_, parallelism_);
-    } else {
-      processor->open(instance_, parallelism_);
-      batch_mode_ = processor->prefers_batches();
-    }
-  }
+  void initialize(granules::TaskContext&) override { open_operators(); }
 
   void execute(granules::TaskContext& ctx) override {
     metrics_.executions.fetch_add(1, std::memory_order_relaxed);
@@ -220,7 +225,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
       OperatorMetrics& m;
       uint32_t actor;
       ~ExecGuard() {
-        m.exec_begin_ns.store(0, std::memory_order_relaxed);
+        m.exec_begin_ns.store(0, std::memory_order_release);
         obs::FlightRecorder::record(actor, obs::FlightEventType::kDispatchEnd,
                                     m.executions.load(std::memory_order_relaxed));
       }
@@ -245,12 +250,78 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
     }
     if (was_blocked) {
       // A parked frame may have been sent by the timer retry; let the task
-      // re-check (cheap no-op when still blocked).
+      // re-check (cheap no-op when still blocked). A chained instance's
+      // task_id is its chain head's.
       resource->notify_data(task_id);
     }
   }
 
+  /// True when the instance owns at least one outbound StreamBuffer (the
+  /// flush timer has something to do).
+  bool has_buffers() const {
+    for (const auto& out : outputs) {
+      if (!out.dst.empty()) return true;
+    }
+    return false;
+  }
+
  private:
+  /// Open the user operator, then every instance chained below it (they
+  /// have no task of their own to do it).
+  void open_operators() {
+    if (kind_ == OperatorKind::kSource) {
+      source->open(instance_, parallelism_);
+    } else {
+      processor->open(instance_, parallelism_);
+      batch_mode_ = processor->prefers_batches();
+    }
+    for (auto& out : outputs) {
+      if (out.chained) out.chained->open_operators();
+    }
+  }
+
+  // --- chained links -----------------------------------------------------------
+  /// Emit over a chained link: count the packet out here, run the
+  /// downstream operator on it now, and surface the chain tail's
+  /// backpressure as this instance's.
+  EmitStatus emit_chained(InstanceRuntime& down, StreamPacket& packet) {
+    packets_emitted_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.packets_out.fetch_add(1, std::memory_order_relaxed);
+    down.dispatch_chained(packet, current_trace_);
+    if (down.output_blocked_.load(std::memory_order_relaxed))
+      output_blocked_.store(true, std::memory_order_relaxed);
+    return output_blocked_.load(std::memory_order_relaxed) ? EmitStatus::kBackpressured
+                                                           : EmitStatus::kOk;
+  }
+
+  /// One packet handed over a chained link, on the upstream's thread. Same
+  /// accounting as the per-packet drain path; a throw is quarantined under
+  /// this operator's own id.
+  void dispatch_chained(StreamPacket& packet, const obs::TraceContext& trace) {
+    metrics_.packets_in.fetch_add(1, std::memory_order_relaxed);
+    current_trace_ = trace;  // the trace follows the data to the next real hop
+    int64_t dispatch_ns = packet_deadline_ns > 0 ? now_ns() : 0;
+    bool poisoned = false;
+    try {
+      processor->process(packet, *this);
+    } catch (const std::exception& ex) {
+      current_trace_ = {};
+      if (!dlq) throw;
+      ByteBuffer bytes;
+      packet.serialize(bytes);  // the packet as the operator left it
+      quarantine_bytes(*chain_link, 0, bytes.contents(), 1,
+                       std::string("operator threw: ") + ex.what());
+      poisoned = true;
+    }
+    current_trace_ = {};
+    if (dispatch_ns != 0 && now_ns() - dispatch_ns > packet_deadline_ns)
+      metrics_.deadline_overruns.fetch_add(1, std::memory_order_relaxed);
+    if (!poisoned && outputs.empty() && packet.event_time_ns() > 0) {
+      int64_t lat = now_ns() - packet.event_time_ns();
+      if (lat > 0) metrics_.sink_latency.record(static_cast<uint64_t>(lat));
+    }
+  }
+
   // --- source path -----------------------------------------------------------
   void run_source(granules::TaskContext& ctx) {
     if (source_exhausted_) {
@@ -478,22 +549,27 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
   /// validated wire format, so tests can replay them) into the job's DLQ.
   void quarantine_span(const Batch& b, size_t byte_begin, size_t byte_end, uint32_t count,
                        const std::string& reason) {
+    quarantine_bytes(b.trace_link, b.trace_src,
+                     b.packets.subspan(byte_begin, byte_end - byte_begin), count, reason);
+  }
+
+  void quarantine_bytes(uint32_t link_id, uint32_t src_instance, std::span<const uint8_t> bytes,
+                        uint32_t count, const std::string& reason) {
     fault::DeadLetterEntry entry;
     entry.op_id = op_id_;
     entry.instance = instance_;
-    entry.link_id = b.trace_link;
-    entry.src_instance = b.trace_src;
+    entry.link_id = link_id;
+    entry.src_instance = src_instance;
     entry.packet_count = count;
     entry.reason = reason;
     entry.quarantined_ns = now_ns();
-    auto span = b.packets.subspan(byte_begin, byte_end - byte_begin);
-    entry.packet_bytes.assign(span.begin(), span.end());
+    entry.packet_bytes.assign(bytes.begin(), bytes.end());
     dlq->quarantine(std::move(entry));
     metrics_.packets_quarantined.fetch_add(count, std::memory_order_relaxed);
     obs::FlightRecorder::record(flight_actor_, obs::FlightEventType::kQuarantine, count,
-                                b.trace_link);
+                                link_id);
     NEPTUNE_LOG_WARN("%s: quarantined %u packet(s) from link %u to the dead-letter queue: %s",
-                     task_name_.c_str(), count, b.trace_link, reason.c_str());
+                     task_name_.c_str(), count, link_id, reason.c_str());
   }
 
   /// Malformed batch past the CRC layer: with quarantine enabled the
@@ -670,11 +746,13 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
     return true;
   }
 
-  /// Retry every flow-controlled buffer. True when none remain blocked.
+  /// Retry every flow-controlled buffer, down chained links too. True when
+  /// none remain blocked.
   bool retry_blocked_outputs() {
     if (!output_blocked_.load(std::memory_order_relaxed)) return true;
     bool all_ok = true;
     for (auto& out : outputs) {
+      if (out.chained) all_ok &= out.chained->retry_blocked_outputs();
       for (auto& buf : out.dst) {
         if (buf->blocked()) all_ok &= buf->drain(false);
       }
@@ -684,31 +762,37 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
   }
 
   void finalize(granules::TaskContext& ctx, bool discard) {
-    if (done_.load(std::memory_order_acquire)) {
-      ctx.request_termination();
-      return;
-    }
+    if (!close_down(discard)) return;  // resumes when the writable callback fires
+    ctx.request_termination();
+  }
+
+  /// End of stream for this instance, then for each instance chained below
+  /// it, in that order: close the operator (its final emits run down the
+  /// chain), flush and close the outbound channels, count the instance
+  /// done. False while a flush is flow-controlled; the next call resumes.
+  bool close_down(bool discard) {
+    if (done_.load(std::memory_order_acquire)) return true;
     if (kind_ == OperatorKind::kProcessor && !close_called_ && !discard) {
       close_called_ = true;
       processor->close(*this);  // may emit final window aggregates
     }
-    if (!discard) {
-      bool all_flushed = true;
-      for (auto& out : outputs) {
-        for (auto& buf : out.dst) all_flushed &= buf->drain(/*force=*/true);
-      }
-      if (!all_flushed) {
-        output_blocked_.store(true, std::memory_order_relaxed);
-        return;  // finalize resumes when the writable callback fires
-      }
+    bool all_flushed = true;
+    for (auto& out : outputs) {
+      if (out.chained) all_flushed &= out.chained->close_down(discard);
+      if (discard) continue;
+      for (auto& buf : out.dst) all_flushed &= buf->drain(/*force=*/true);
+    }
+    if (!all_flushed) {
+      output_blocked_.store(true, std::memory_order_relaxed);
+      return false;
     }
     for (auto& out : outputs) {
       for (auto& buf : out.dst) buf->close_channel();
     }
     if (kind_ == OperatorKind::kSource && source) source->close();
     done_.store(true, std::memory_order_release);
-    ctx.request_termination();
     job_->on_instance_done();
+    return true;
   }
 
   const std::string op_id_;
@@ -743,6 +827,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
   // dispatch, and persistent view objects for skip-replay and batch mode.
   Arena arena_;
   StreamPacket scratch_pkt_;
+  StreamPacket chain_scratch_;  // a view emitted over a chained link, materialized
   PacketView skip_view_;
   BatchView batch_view_;
   bool batch_mode_ = false;
@@ -757,7 +842,7 @@ Job::~Job() {
 }
 
 void Job::start() {
-  start_ns_ = now_ns();
+  start_ns_.store(now_ns(), std::memory_order_relaxed);
   // Kick every source instance once; they self-reschedule from then on.
   for (auto& inst : instances_) {
     inst->resource->notify_data(inst->task_id);
@@ -903,7 +988,7 @@ JobMetricsSnapshot Job::metrics() const {
     snap.operators.push_back(std::move(m));
   }
   int64_t end = end_ns_.load(std::memory_order_acquire);
-  snap.wall_time_ns = (end != 0 ? end : now_ns()) - start_ns_;
+  snap.wall_time_ns = (end != 0 ? end : now_ns()) - start_ns_.load(std::memory_order_relaxed);
   return snap;
 }
 
@@ -1068,8 +1153,9 @@ uint16_t planned_port(const decltype(SliceOptions::edge_ports)& edge_ports,
 }
 
 // Topology descriptor for incident bundles: flightdump joins flush events
-// (link id) to downstream dispatches through the links' "to" field.
-void note_topology_for_incidents(const StreamGraph& graph) {
+// (link id) to downstream dispatches through the links' "to" field, and
+// skips links marked "chained" (direct calls: no flushes, no dispatches).
+void note_topology_for_incidents(const StreamGraph& graph, const std::vector<bool>& chained) {
   auto reporter = obs::IncidentReporter::active();
   if (!reporter) return;
   JsonObject topo;
@@ -1088,10 +1174,28 @@ void note_topology_for_incidents(const StreamGraph& graph) {
     l["id"] = JsonValue(static_cast<int64_t>(link.link_id));
     l["from"] = JsonValue(graph.operators()[link.from_op].id);
     l["to"] = JsonValue(graph.operators()[link.to_op].id);
+    l["chained"] = JsonValue(static_cast<bool>(chained[link.link_id]));
     links.push_back(JsonValue(std::move(l)));
   }
   topo["links"] = JsonValue(std::move(links));
   reporter->note_topology(JsonValue(std::move(topo)));
+}
+
+using OpInstances = std::vector<std::vector<std::shared_ptr<detail::InstanceRuntime>>>;
+
+// Operator chaining (docs/INTERNALS.md §16): a link becomes a direct call
+// when it joins two single instances on the same local resource, the
+// downstream has no other input and takes packets one at a time, and the
+// link asks for none of the per-link byte behaviour a buffered edge gives
+// (compression, shedding, a buffer override).
+bool chainable(const StreamGraph& graph, const LinkDecl& link, const OpInstances& ops) {
+  const auto& srcs = ops[link.from_op];
+  const auto& dsts = ops[link.to_op];
+  if (srcs.size() != 1 || dsts.size() != 1 || !srcs[0] || !dsts[0]) return false;
+  return srcs[0]->resource == dsts[0]->resource && graph.inputs_of(link.to_op).size() == 1 &&
+         !dsts[0]->processor->prefers_batches() &&
+         link.compression.mode == CompressionMode::kOff &&
+         link.shed.policy == ShedPolicy::kNone && !link.buffer_override;
 }
 
 struct EdgeChannel {
@@ -1208,8 +1312,6 @@ std::shared_ptr<Job> Runtime::deploy(const StreamGraph& graph, const Placement& 
                                      const decltype(SliceOptions::edge_ports)& edge_ports) {
   const GraphConfig& cfg = graph.config();
 
-  note_topology_for_incidents(graph);
-
   auto job = std::shared_ptr<Job>(new Job());
   job->name_ = graph.name();
   if (options_.quarantine.enabled)
@@ -1218,7 +1320,7 @@ std::shared_ptr<Job> Runtime::deploy(const StreamGraph& graph, const Placement& 
   // 1. Instantiate the local operator instances.
   //    op_instances[op_index][instance] -> InstanceRuntime, null when a peer
   //    process hosts the instance.
-  std::vector<std::vector<std::shared_ptr<detail::InstanceRuntime>>> op_instances;
+  OpInstances op_instances;
   for (size_t oi = 0; oi < graph.operators().size(); ++oi) {
     const OperatorDecl& op = graph.operators()[oi];
     auto& instances = op_instances.emplace_back(op.parallelism);
@@ -1238,26 +1340,34 @@ std::shared_ptr<Job> Runtime::deploy(const StreamGraph& graph, const Placement& 
     }
   }
 
-  // 2. Wire every edge with a local end: one channel + StreamBuffer per
-  //    (src-instance, dst-instance). Both ends local: make_edge_channel.
-  //    Local sender, remote receiver: a supervised TCP sender connecting to
-  //    the peer's planned port. Remote sender, local receiver: a supervised
-  //    TCP receiver bound to that port. Cross-process edges are always
-  //    supervised: recovery depends on their reconnect + exactly-once
-  //    retransmission protocol.
+  // 2. Wire every link with a local end. A chainable link becomes a direct
+  //    call from the upstream instance into the downstream one. Otherwise
+  //    each (src-instance, dst-instance) edge gets a channel + StreamBuffer.
+  //    Both ends local: make_edge_channel. Local sender, remote receiver: a
+  //    supervised TCP sender connecting to the peer's planned port. Remote
+  //    sender, local receiver: a supervised TCP receiver bound to that
+  //    port. Cross-process edges are always supervised: recovery depends on
+  //    their reconnect + exactly-once retransmission protocol.
+  std::vector<bool> chained(graph.links().size());
   for (const LinkDecl& link : graph.links()) {
     const auto& srcs = op_instances[link.from_op];
     const auto& dsts = op_instances[link.to_op];
     link.partitioning->prepare(static_cast<uint32_t>(srcs.size()));
     StreamBufferConfig buf_cfg = link.buffer_override.value_or(cfg.buffer);
+    for (const auto& src : srcs) {
+      if (src && src->outputs.size() <= link.output_index)
+        src->outputs.resize(link.output_index + 1);
+    }
+    if (chainable(graph, link, op_instances)) {
+      chained[link.link_id] = true;
+      srcs[0]->outputs[link.output_index].chained = dsts[0];
+      dsts[0]->chain_link = link.link_id;
+      continue;
+    }
 
     for (uint32_t si = 0; si < srcs.size(); ++si) {
       detail::InstanceRuntime* src = srcs[si].get();
-      if (src) {
-        if (src->outputs.size() <= link.output_index) src->outputs.resize(link.output_index + 1);
-        src->outputs[link.output_index].decl = &link;
-        src->outputs[link.output_index].partitioning = link.partitioning;
-      }
+      if (src) src->outputs[link.output_index].partitioning = link.partitioning;
       // out.dst holds one buffer per destination instance, in instance
       // order — partitioning indexes into it by dst instance.
       for (uint32_t di = 0; di < dsts.size(); ++di) {
@@ -1333,14 +1443,25 @@ std::shared_ptr<Job> Runtime::deploy(const StreamGraph& graph, const Placement& 
   }
 
   // 3. Deploy the local tasks (the callbacks above read task_id at fire
-  //    time, and nothing fires before start()).
+  //    time, and nothing fires before start()). A chained instance runs on
+  //    its chain head's task, so its callbacks and timer wake the head.
+  for (auto& group : op_instances) {
+    for (auto& inst : group) {
+      if (inst && !inst->chain_link)
+        inst->task_id = inst->resource->deploy(inst, granules::ScheduleSpec::on_data());
+    }
+  }
   for (auto& group : op_instances) {
     for (auto& inst : group) {
       if (!inst) continue;
-      inst->task_id = inst->resource->deploy(inst, granules::ScheduleSpec::on_data());
+      detail::InstanceRuntime* head = inst.get();
+      while (head->chain_link)
+        head = op_instances[graph.links()[*head->chain_link].from_op][0].get();
+      inst->task_id = head->task_id;
       job->instances_.push_back(inst);
     }
   }
+  note_topology_for_incidents(graph, chained);
 
   // 4. Telemetry per instance, 5. flush timers.
   register_job_telemetry(job);
@@ -1473,12 +1594,13 @@ void Runtime::register_job_telemetry(const std::shared_ptr<Job>& job) {
   }
 }
 
-// Flush timers: one periodic timer per instance on its resource's IO loop
-// (half the flush interval for Nyquist-ish timeliness).
+// Flush timers: one periodic timer per instance that owns a stream buffer,
+// on its resource's IO loop (half the flush interval for Nyquist-ish
+// timeliness).
 void Runtime::install_flush_timers(const std::shared_ptr<Job>& job, const GraphConfig& cfg) {
   for (auto& inst : job->instances_) {
     int64_t interval = cfg.buffer.flush_interval_ns;
-    if (interval > 0) {
+    if (interval > 0 && inst->has_buffers()) {
       EventLoop* loop = inst->resource->io_loop(0);
       auto weak = std::weak_ptr<detail::InstanceRuntime>(inst);
       EventLoop::TimerId id = loop->run_every(std::max<int64_t>(interval / 2, 500'000), [weak] {

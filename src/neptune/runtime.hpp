@@ -126,7 +126,7 @@ class Job {
   mutable std::mutex done_mu_;
   std::condition_variable done_cv_;
   size_t done_count_ = 0;
-  int64_t start_ns_ = 0;
+  std::atomic<int64_t> start_ns_{0};  // read by watchdog/sampler threads
   mutable std::atomic<int64_t> end_ns_{0};
 };
 

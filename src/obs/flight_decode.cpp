@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <map>
+#include <set>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -302,12 +304,20 @@ std::vector<SliceAttribution> attribute_latency(const Journal& journal, int64_t 
 
 std::vector<EdgeLatency> edge_latency(const Journal& journal) {
   // link id -> destination task name, from any topology descriptor present.
+  // Chained links are direct calls with no buffer, flush or queue: they are
+  // not edges, and their destination dispatches under the chain head.
   std::map<uint64_t, std::string> link_dst;
+  std::set<uint64_t> chained;
   for (const JsonValue& topo : journal.topologies) {
     if (!topo.is_object() || !topo.contains("links")) continue;
     for (const JsonValue& link : topo.at("links").as_array()) {
       if (!link.is_object()) continue;
-      link_dst[static_cast<uint64_t>(link.number_or("id", 0))] = link.string_or("to", "");
+      uint64_t id = static_cast<uint64_t>(link.number_or("id", 0));
+      if (link.contains("chained") && link.at("chained").as_bool()) {
+        chained.insert(id);
+        continue;
+      }
+      link_dst[id] = link.string_or("to", "");
     }
   }
 
@@ -365,6 +375,7 @@ std::vector<EdgeLatency> edge_latency(const Journal& journal) {
   std::vector<EdgeLatency> out;
   out.reserve(edges.size());
   for (auto& [link, e] : edges) {
+    if (chained.count(link)) continue;
     e.link = link;
     auto it = link_dst.find(link);
     if (it != link_dst.end()) e.dst_op = it->second;

@@ -1,5 +1,7 @@
 #include "proc/chaos.hpp"
 
+#include <signal.h>
+
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +18,16 @@ const char* to_string(ChaosAction::Kind kind) {
     case ChaosAction::Kind::kPartition: return "partition";
   }
   return "?";
+}
+
+int signal_of(ChaosAction::Kind kind) {
+  switch (kind) {
+    case ChaosAction::Kind::kKill: return SIGKILL;
+    case ChaosAction::Kind::kStop: return SIGSTOP;
+    case ChaosAction::Kind::kCont: return SIGCONT;
+    case ChaosAction::Kind::kPartition: return 0;
+  }
+  return 0;
 }
 
 namespace {
@@ -43,6 +55,10 @@ ChaosPlan ChaosPlan::from_json(const JsonValue& doc, size_t total_resources) {
       act.duration_ms = static_cast<int64_t>(a.number_or("duration_ms", 0));
       if (act.at_ms < 0 && act.at_events == 0)
         throw JsonError("chaos plan: action needs at_ms or at_events");
+      // Time triggers fire in the supervisor and event triggers inside the
+      // worker; one action with both could fire twice.
+      if (act.at_ms >= 0 && act.at_events > 0)
+        throw JsonError("chaos plan: action takes at_ms or at_events, not both");
       if (total_resources > 0 && act.resource >= total_resources)
         throw JsonError("chaos plan: resource " + std::to_string(act.resource) +
                         " out of range for " + std::to_string(total_resources) + " resources");
@@ -81,19 +97,22 @@ ChaosPlan ChaosPlan::load(const std::string& path, size_t total_resources) {
   return from_json(JsonValue::parse(buf.str()), total_resources);
 }
 
-std::vector<ChaosAction*> ChaosController::due(int64_t elapsed_ms, uint64_t global_events) {
+std::vector<ChaosAction*> ChaosController::due(int64_t elapsed_ms) {
   std::vector<ChaosAction*> out;
   for (ChaosAction& a : plan_.actions) {
-    if (a.fired) continue;
-    bool time_due = a.at_ms >= 0 && elapsed_ms >= a.at_ms;
-    bool event_due = a.at_events > 0 && global_events >= a.at_events;
-    if (time_due || event_due) {
-      a.fired = true;
-      ++fired_;
-      out.push_back(&a);
-    }
+    if (a.fired || a.at_ms < 0 || elapsed_ms < a.at_ms) continue;
+    a.fired = true;
+    ++fired_;
+    out.push_back(&a);
   }
   return out;
+}
+
+ChaosAction* ChaosController::mark_fired(size_t index) {
+  if (index >= plan_.actions.size() || plan_.actions[index].fired) return nullptr;
+  plan_.actions[index].fired = true;
+  ++fired_;
+  return &plan_.actions[index];
 }
 
 }  // namespace neptune::proc

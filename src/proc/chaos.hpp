@@ -16,11 +16,17 @@
 //   "random": {"kills": 2, "window_ms": [100, 900]}
 // }
 //
-// Triggers: "at_ms" fires on wall-clock time since deployment start;
-// "at_events" fires when the global packets-in count (summed over worker
-// heartbeats) crosses the threshold — the reliable trigger for golden runs,
-// whose trace generation is simulated-time, not wall-clock paced. An action
-// with both fires on whichever comes first.
+// Triggers (each action has exactly one):
+//  * "at_ms" fires in the supervisor on wall-clock time since deployment
+//    start. When its target worker has already completed (or is gone) the
+//    action is counted in chaos_missed instead of executed.
+//  * "at_events" fires inside the target worker's own dispatch path, when
+//    that worker's packets-in count (the heartbeat's "in", counted from its
+//    process start) reaches the threshold: the worker reports the action
+//    on its control channel, then raises the signal on itself. This is the
+//    reliable trigger for golden runs, whose trace generation is
+//    simulated-time, not wall-clock paced. An event action that never
+//    fires before the deployment completes is counted in chaos_missed.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +42,14 @@ struct ChaosAction {
   Kind kind = Kind::kKill;
   size_t resource = 0;
   int64_t at_ms = -1;       ///< wall-clock trigger (ms since start); -1 = unused
-  uint64_t at_events = 0;   ///< global packets-in trigger; 0 = unused
+  uint64_t at_events = 0;   ///< target worker's packets-in trigger; 0 = unused
   int64_t duration_ms = 0;  ///< kStop: auto-SIGCONT after; kPartition: stall window
   bool fired = false;
 };
 
 const char* to_string(ChaosAction::Kind kind);
+/// The signal a kill/stop/cont action sends (0 for a partition).
+int signal_of(ChaosAction::Kind kind);
 
 struct ChaosPlan {
   uint64_t seed = 1;
@@ -56,15 +64,20 @@ struct ChaosPlan {
 };
 
 /// Replays a plan. The supervisor's monitor loop calls due() every tick and
-/// executes whatever comes back (kill/stop/cont the matching pid); each
+/// executes whatever comes back (kill/stop/cont the matching pid); workers
+/// fire the event-triggered actions and report them (mark_fired). Each
 /// action fires exactly once.
 class ChaosController {
  public:
   explicit ChaosController(ChaosPlan plan) : plan_(std::move(plan)) {}
 
-  /// Actions whose trigger has been crossed and that have not fired yet.
-  /// Marks them fired — the caller must execute everything returned.
-  std::vector<ChaosAction*> due(int64_t elapsed_ms, uint64_t global_events);
+  /// Time-triggered actions whose at_ms has passed and that have not fired
+  /// yet. Marks them fired — the caller must execute everything returned.
+  std::vector<ChaosAction*> due(int64_t elapsed_ms);
+
+  /// A worker fired event-triggered action `index` itself. Returns the
+  /// action, or nullptr when the index is unknown or already fired.
+  ChaosAction* mark_fired(size_t index);
 
   const ChaosPlan& plan() const { return plan_; }
   uint64_t fired() const { return fired_; }

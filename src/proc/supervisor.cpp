@@ -140,6 +140,9 @@ struct ResourceSupervisor::Impl {
     counter("neptune_supervisor_quiesce_timeouts_total",
             "Coordinated checkpoints abandoned because the deployment failed to drain",
             &report.quiesce_timeouts);
+    counter("neptune_supervisor_chaos_missed_total",
+            "Chaos actions that never acted (target already completed, or trigger not reached)",
+            &report.chaos_missed);
   }
 
   bool write_manifest(uint64_t epoch) {
@@ -221,6 +224,18 @@ struct ResourceSupervisor::Impl {
       if (restore_epoch >= 0) {
         args.push_back("--restore-epoch");
         args.push_back(std::to_string(restore_epoch));
+      }
+      if (chaos) {
+        // Unfired event triggers aimed at this resource are armed inside
+        // the worker, against its own packets-in count.
+        const std::vector<ChaosAction>& actions = chaos->plan().actions;
+        for (size_t i = 0; i < actions.size(); ++i) {
+          const ChaosAction& a = actions[i];
+          if (a.fired || a.at_events == 0 || a.resource != r) continue;
+          args.push_back("--chaos-event");
+          args.push_back(std::to_string(i) + ":" + std::to_string(signal_of(a.kind)) + ":" +
+                         std::to_string(a.at_events));
+        }
       }
       auto pit = partitions.find(r);
       if (pit != partitions.end()) {
@@ -319,6 +334,17 @@ struct ResourceSupervisor::Impl {
     } else if (type == "failed") {
       w.failed = true;
       w.fail_reason = msg.string_or("error", "unknown");
+    } else if (type == "chaos") {
+      // The worker fired an event-triggered action on itself.
+      ChaosAction* a =
+          chaos ? chaos->mark_fired(static_cast<size_t>(msg.number_or("index", 0))) : nullptr;
+      if (!a) return;
+      ++report.chaos_fired;
+      if (opts.verbose)
+        NEPTUNE_LOG_INFO("chaos: %s resource %zu (worker at %llu events)", to_string(a->kind),
+                         a->resource, static_cast<unsigned long long>(a->at_events));
+      if (a->kind == ChaosAction::Kind::kStop && a->duration_ms > 0)
+        pending_conts.push_back({a->resource, generation, now_ms() + a->duration_ms});
     }
   }
 
@@ -359,34 +385,26 @@ struct ResourceSupervisor::Impl {
 
   void execute_chaos(int64_t elapsed_ms) {
     if (!chaos) return;
-    uint64_t global_events = 0;
-    for (const WorkerState& w : workers) global_events += w.in;
-    for (ChaosAction* a : chaos->due(elapsed_ms, global_events)) {
-      ++report.chaos_fired;
+    // Time triggers only: event triggers fire inside the workers.
+    for (ChaosAction* a : chaos->due(elapsed_ms)) {
       WorkerState* target = nullptr;
       for (WorkerState& w : workers) {
         if (w.resource == a->resource && w.pid > 0) target = &w;
       }
-      if (opts.verbose)
-        NEPTUNE_LOG_INFO("chaos: %s resource %zu (t=%lldms, events=%llu)", to_string(a->kind),
-                         a->resource, static_cast<long long>(elapsed_ms),
-                         static_cast<unsigned long long>(global_events));
-      if (!target) continue;
-      switch (a->kind) {
-        case ChaosAction::Kind::kKill:
-          ::kill(target->pid, SIGKILL);
-          break;
-        case ChaosAction::Kind::kStop:
-          ::kill(target->pid, SIGSTOP);
-          if (a->duration_ms > 0)
-            pending_conts.push_back({a->resource, generation, now_ms() + a->duration_ms});
-          break;
-        case ChaosAction::Kind::kCont:
-          ::kill(target->pid, SIGCONT);
-          break;
-        case ChaosAction::Kind::kPartition:
-          break;  // resolved into worker --partition args at spawn time
+      if (!target || target->completed) {
+        ++report.chaos_missed;
+        NEPTUNE_LOG_WARN("chaos: %s resource %zu at t=%lldms missed: the worker has %s",
+                         to_string(a->kind), a->resource, static_cast<long long>(elapsed_ms),
+                         target ? "already completed" : "no live process");
+        continue;
       }
+      ++report.chaos_fired;
+      if (opts.verbose)
+        NEPTUNE_LOG_INFO("chaos: %s resource %zu (t=%lldms)", to_string(a->kind), a->resource,
+                         static_cast<long long>(elapsed_ms));
+      ::kill(target->pid, signal_of(a->kind));
+      if (a->kind == ChaosAction::Kind::kStop && a->duration_ms > 0)
+        pending_conts.push_back({a->resource, generation, now_ms() + a->duration_ms});
     }
     int64_t now = now_ms();
     for (auto it = pending_conts.begin(); it != pending_conts.end();) {
@@ -461,6 +479,9 @@ struct ResourceSupervisor::Impl {
           int status = 0;
           pid_t r = ::waitpid(w.pid, &status, WNOHANG);
           if (r == w.pid) {
+            // A worker that fired a chaos action on itself reported it just
+            // before the signal: read that report before the channel goes.
+            while (auto msg = w.ctl->poll(0)) handle_message(w, *msg);
             ++report.worker_deaths;
             std::string detail = "worker r" + std::to_string(w.resource) + " (pid " +
                                  std::to_string(w.pid) + ") died: " + exit_description(status);
@@ -607,6 +628,9 @@ struct ResourceSupervisor::Impl {
   }
 
   SupervisorReport finish_success(int64_t t_start) {
+    // Whatever never fired (an event trigger the workers did not reach, a
+    // time trigger later than the run) missed.
+    if (chaos) report.chaos_missed += chaos->plan().actions.size() - chaos->fired();
     for (const WorkerState& w : workers) {
       report.seq_violations += w.seq;
       for (const auto& [id, sink] : w.sinks) report.sinks[id] = sink;

@@ -75,6 +75,10 @@ struct SupervisorReport {
   uint64_t worker_deaths = 0;
   uint64_t gray_failures = 0;
   uint64_t chaos_fired = 0;
+  /// Chaos actions that never acted: a time trigger whose target had
+  /// already completed (or was gone), or an event trigger the deployment
+  /// finished without reaching.
+  uint64_t chaos_missed = 0;
   uint64_t seq_violations = 0;
   uint64_t last_epoch = 0;  ///< last committed checkpoint epoch (0 = none)
   uint64_t generations = 1;

@@ -1,9 +1,12 @@
 #include "proc/worker.hpp"
 
+#include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 
 #include "common/log.hpp"
@@ -21,6 +24,100 @@ int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Fires the worker's event-triggered chaos actions from inside the
+/// dispatch path. It counts packets in exactly as the heartbeat's "in"
+/// does; when the count reaches an action's threshold, the dispatching
+/// thread reports the action on the control channel and then raises the
+/// action's signal on this process, so the report is written even when the
+/// signal is SIGKILL.
+class ChaosTrigger {
+ public:
+  ChaosTrigger(std::vector<WorkerOptions::ChaosEvent> events, int control_fd,
+               std::mutex& send_mu)
+      : events_(std::move(events)), ctl_(::dup(control_fd)), send_mu_(send_mu) {}
+
+  void count(uint64_t packets) {
+    uint64_t before = in_.fetch_add(packets, std::memory_order_relaxed);
+    for (const WorkerOptions::ChaosEvent& e : events_) {
+      if (before < e.at_events && before + packets >= e.at_events) fire(e);
+    }
+  }
+
+ private:
+  void fire(const WorkerOptions::ChaosEvent& e) {
+    JsonValue msg = control_message("chaos");
+    msg.as_object()["index"] = JsonValue(static_cast<int64_t>(e.index));
+    {
+      std::lock_guard lk(send_mu_);
+      ctl_.send(msg);
+    }
+    ::kill(::getpid(), e.signal);
+  }
+
+  const std::vector<WorkerOptions::ChaosEvent> events_;
+  std::atomic<uint64_t> in_{0};
+  ControlChannel ctl_;  // a dup of the control fd, written only under send_mu_
+  std::mutex& send_mu_;
+};
+
+/// Counts every packet into the trigger before the wrapped operator sees
+/// it; everything else, state included, is forwarded.
+class CountedProcessor final : public StreamProcessor, public Checkpointable {
+ public:
+  CountedProcessor(std::unique_ptr<StreamProcessor> inner, std::shared_ptr<ChaosTrigger> trigger)
+      : inner_(std::move(inner)),
+        state_(dynamic_cast<Checkpointable*>(inner_.get())),
+        trigger_(std::move(trigger)) {}
+
+  void open(uint32_t instance, uint32_t parallelism) override {
+    inner_->open(instance, parallelism);
+  }
+  void process(StreamPacket& packet, Emitter& out) override {
+    trigger_->count(1);
+    inner_->process(packet, out);
+  }
+  bool prefers_batches() const override { return inner_->prefers_batches(); }
+  void on_batch(BatchView& batch, Emitter& out) override {
+    trigger_->count(batch.size());
+    inner_->on_batch(batch, out);
+  }
+  void close(Emitter& out) override { inner_->close(out); }
+  void snapshot_state(ByteBuffer& out) const override {
+    if (state_) state_->snapshot_state(out);
+  }
+  void restore_state(ByteReader& in) override {
+    if (state_) state_->restore_state(in);
+  }
+
+ private:
+  std::unique_ptr<StreamProcessor> inner_;
+  Checkpointable* state_;
+  std::shared_ptr<ChaosTrigger> trigger_;
+};
+
+/// `graph` with every processor wrapped in a CountedProcessor feeding
+/// `trigger`. Links are re-declared in order, so ids are unchanged.
+StreamGraph with_chaos_trigger(const StreamGraph& graph, std::shared_ptr<ChaosTrigger> trigger) {
+  StreamGraph out(graph.name(), graph.config());
+  for (const OperatorDecl& op : graph.operators()) {
+    if (op.kind == OperatorKind::kSource) {
+      out.add_source(op.id, op.source_factory, op.parallelism, op.resource);
+    } else {
+      out.add_processor(
+          op.id,
+          [inner = op.processor_factory, trigger]() -> std::unique_ptr<StreamProcessor> {
+            return std::make_unique<CountedProcessor>(inner(), trigger);
+          },
+          op.parallelism, op.resource);
+    }
+  }
+  for (const LinkDecl& l : graph.links()) {
+    out.connect(graph.operators()[l.from_op].id, graph.operators()[l.to_op].id, l.partitioning,
+                l.compression, l.buffer_override, l.qos, l.shed);
+  }
+  return out;
 }
 
 JsonValue stat_message(const Job& job, const char* type) {
@@ -48,11 +145,17 @@ JsonValue stat_message(const Job& job, const char* type) {
 
 int run_worker(const WorkerOptions& opts) {
   ControlChannel ctl(opts.control_fd);
+  // Chaos triggers report from dispatch threads; every send takes this.
+  std::mutex send_mu;
+  auto send = [&](const JsonValue& msg) {
+    std::lock_guard lk(send_mu);
+    ctl.send(msg);
+  };
   auto send_failed = [&](const std::string& what) {
     JsonValue msg = control_message("failed");
     msg.as_object()["error"] = JsonValue(what);
     msg.as_object()["generation"] = JsonValue(static_cast<int64_t>(opts.generation));
-    ctl.send(msg);
+    send(msg);
   };
 
   try {
@@ -62,6 +165,10 @@ int run_worker(const WorkerOptions& opts) {
 
     scenarios::ScenarioContext ctx;
     StreamGraph graph = scenarios::build_scenario_graph(spec, trace, ctx, /*fastlane=*/false);
+    if (!opts.chaos_events.empty()) {
+      graph = with_chaos_trigger(
+          graph, std::make_shared<ChaosTrigger>(opts.chaos_events, opts.control_fd, send_mu));
+    }
 
     SlicePlan plan = plan_slices(graph, opts.total_resources);
     plan.ports = opts.ports;
@@ -112,7 +219,7 @@ int run_worker(const WorkerOptions& opts) {
       o["resource"] = JsonValue(static_cast<int64_t>(opts.resource));
       o["pid"] = JsonValue(static_cast<int64_t>(::getpid()));
       o["generation"] = JsonValue(static_cast<int64_t>(opts.generation));
-      ctl.send(hello);
+      send(hello);
     }
 
     // ctx.sinks registers every digest-sink in the topology, but only the
@@ -153,9 +260,9 @@ int run_worker(const WorkerOptions& opts) {
           bool ok = job->quiesce(std::chrono::seconds(5));
           if (ok) ok = store.save_tagged(job->checkpoint_state(), epoch);
           o["ok"] = JsonValue(ok);
-          ctl.send(ack);
+          send(ack);
         } else if (type == "stat") {
-          ctl.send(stat_message(*job, "hb"));
+          send(stat_message(*job, "hb"));
         } else if (type == "stop") {
           job->stop();
           return 0;
@@ -164,7 +271,7 @@ int run_worker(const WorkerOptions& opts) {
       int64_t now = now_ms();
       if (now - last_hb >= opts.heartbeat_interval_ms) {
         last_hb = now;
-        ctl.send(stat_message(*job, "hb"));
+        send(stat_message(*job, "hb"));
       }
       if (!completed_sent && job->completed()) {
         completed_sent = true;
@@ -184,7 +291,7 @@ int run_worker(const WorkerOptions& opts) {
           sinks[id] = JsonValue(std::move(s));
         }
         o["sinks"] = JsonValue(std::move(sinks));
-        ctl.send(done);
+        send(done);
       }
       if (!failed_sent && job->failed()) {
         failed_sent = true;

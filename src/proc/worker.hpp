@@ -37,6 +37,16 @@ struct WorkerOptions {
     int64_t duration_ms = 0;
   };
   std::vector<Partition> partitions;
+  /// Event-triggered chaos actions aimed at this worker: when its
+  /// packets-in count (the heartbeat's "in") reaches `at_events`, the
+  /// dispatching thread reports action `index` to the supervisor and raises
+  /// `signal` on this process.
+  struct ChaosEvent {
+    size_t index = 0;
+    int signal = 0;
+    uint64_t at_events = 0;
+  };
+  std::vector<ChaosEvent> chaos_events;
 };
 
 /// Run one worker to completion. Returns the process exit code: 0 after a

@@ -160,13 +160,15 @@ TEST(OverloadShedding, CriticalStreamStaysLosslessWhileBestEffortSheds) {
 
 TEST(OverloadShedding, CriticalOnlyBackpressuresAndLosesNothing) {
   // Control: the same overloaded topology with a critical (default) link
-  // must deliver every packet via backpressure and shed nothing.
-  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  // must deliver every packet via backpressure and shed nothing. The sink
+  // sits on its own resource so src->sink stays a buffered edge (a
+  // same-resource 1->1 critical link would be chained).
+  Runtime rt(2, {.worker_threads = 2, .io_threads = 1});
   auto sink = std::make_shared<CountingSink>(/*delay_ns=*/30'000);
   StreamGraph g("critical-control", tight_buffers());
   static constexpr uint64_t kFew = 4000;  // smaller: this run can't shed
-  g.add_source("src", [] { return std::make_unique<BytesSource>(kFew, 120); });
-  g.add_processor("sink", forward_to(sink));
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kFew, 120); }, 1, 0);
+  g.add_processor("sink", forward_to(sink), 1, 1);
   g.connect("src", "sink");
 
   auto job = rt.submit(g);

@@ -63,16 +63,18 @@ class StallOnce : public StreamProcessor {
 };
 
 TEST(Watchdog, DetectsDispatchStuckInsideAnOperator) {
-  Runtime rt(1, {.worker_threads = 1, .io_threads = 1});
+  // "proc" runs on its own resource, so it has a task and dispatches of its
+  // own (on one resource it would be chained and its stall blamed on src).
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1});
   static constexpr uint64_t kTotal = 500;
   auto sink = std::make_shared<CountingSink>();
   auto armed = std::make_shared<std::atomic<bool>>(true);
 
   StreamGraph g("stall", small_batches());
-  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); });
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 64); }, 1, 0);
   g.add_processor("proc",
-                  [armed] { return std::make_unique<StallOnce>(armed, 900'000'000); });
-  g.add_processor("sink", forward_to(sink));
+                  [armed] { return std::make_unique<StallOnce>(armed, 900'000'000); }, 1, 1);
+  g.add_processor("sink", forward_to(sink), 1, 0);
   g.connect("src", "proc");
   g.connect("proc", "sink");
 

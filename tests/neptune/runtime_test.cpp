@@ -184,14 +184,16 @@ TEST(RuntimeIntegration, BroadcastDeliversToEveryInstance) {
 }
 
 TEST(RuntimeIntegration, BackpressureThrottlesWithoutLoss) {
-  // Slow sink + tiny channels: the source must be throttled, not drop.
-  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  // Slow sink + tiny channels: the source must be throttled, not drop. The
+  // sink sits on its own resource so src->sink stays a buffered edge (a
+  // same-resource 1->1 link would be chained).
+  Runtime rt(2, {.worker_threads = 2, .io_threads = 1});
   GraphConfig cfg = small_buffers();
   cfg.channel.capacity_bytes = 16 * 1024;
   cfg.channel.low_watermark_bytes = 4 * 1024;
   StreamGraph g("bp", cfg);
   static constexpr uint64_t kTotal = 3000;
-  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 100); });
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 100); }, 1, 0);
   auto sink = std::make_shared<CountingSink>(/*delay_ns=*/20'000);  // 20 us per packet
   g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
     struct Fwd : StreamProcessor {
@@ -200,7 +202,7 @@ TEST(RuntimeIntegration, BackpressureThrottlesWithoutLoss) {
       void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
     };
     return std::make_unique<Fwd>(sink);
-  });
+  }, 1, 1);
   g.connect("src", "sink");
 
   auto job = rt.submit(g);
@@ -276,18 +278,20 @@ TEST(RuntimeIntegration, MultiStagePipelineWithFanInAndFanOut) {
 TEST(RuntimeIntegration, BackpressurePropagatesThroughDeepChain) {
   // 5-stage chain with a slow terminal sink and tiny channels: the throttle
   // must reach all the way back to the source (every intermediate stage
-  // reports blocked sends), and nothing is lost.
-  Runtime rt(1, {.worker_threads = 2, .io_threads = 1});
+  // reports blocked sends), and nothing is lost. The per-packet sink sits on
+  // its own resource so relay2->sink stays a buffered edge (a same-resource
+  // 1->1 link into it would be chained).
+  Runtime rt(2, {.worker_threads = 2, .io_threads = 1});
   GraphConfig cfg = small_buffers();
   cfg.buffer.capacity_bytes = 1024;
   cfg.channel.capacity_bytes = 4 * 1024;
   cfg.channel.low_watermark_bytes = 1024;
   StreamGraph g("deep-bp", cfg);
   static constexpr uint64_t kTotal = 1500;
-  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 200); });
+  g.add_source("src", [] { return std::make_unique<BytesSource>(kTotal, 200); }, 1, 0);
   for (int s = 0; s < 3; ++s) {
     g.add_processor("relay" + std::to_string(s),
-                    [] { return std::make_unique<RelayProcessor>(); });
+                    [] { return std::make_unique<RelayProcessor>(); }, 1, 0);
   }
   auto sink = std::make_shared<CountingSink>(/*delay_ns=*/50'000);
   g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
@@ -297,7 +301,7 @@ TEST(RuntimeIntegration, BackpressurePropagatesThroughDeepChain) {
       void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
     };
     return std::make_unique<Fwd>(sink);
-  });
+  }, 1, 1);
   g.connect("src", "relay0");
   g.connect("relay0", "relay1");
   g.connect("relay1", "relay2");

@@ -127,7 +127,8 @@ TEST(ZeroCopyRuntime, RawTcpRelayNeverCopiesAFrame) {
 
 TEST(ZeroCopyRuntime, FastlaneRatioGaugeReportsOne) {
   // Both deployments share one planner, so a slice-local edge registers the
-  // same gauge as a submit() edge.
+  // same gauge as a submit() edge. Two sink instances keep src->sink a
+  // buffered same-resource edge (a 1->1 link would be chained).
   for (bool slice : {false, true}) {
     SCOPED_TRACE(slice ? "submit_slice" : "submit");
     Runtime rt(/*resources=*/1, {.worker_threads = 1, .io_threads = 1});
@@ -141,7 +142,7 @@ TEST(ZeroCopyRuntime, FastlaneRatioGaugeReportsOne) {
         void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
       };
       return std::make_unique<Fwd>(sink);
-    }, 1, 0);
+    }, 2, 0);
     g.connect("src", "sink");
 
     // Default SliceOptions: local resource 0 of total_resources 1.
@@ -168,7 +169,8 @@ TEST(ZeroCopyRuntime, FastlaneRatioGaugeReportsOne) {
 
 TEST(ZeroCopyRuntime, LegacyPerPacketOperatorsStillWork) {
   // A processor that does NOT opt into batches exercises the lazy
-  // scratch-packet decode path over the same pooled frames.
+  // scratch-packet decode path over the same pooled frames. Two sink
+  // instances keep src->sink a buffered edge (a 1->1 link would be chained).
   Runtime rt(/*resources=*/1, {.worker_threads = 1, .io_threads = 1});
   auto sink = std::make_shared<CountingSink>();
   StreamGraph g("legacy_decode", small_buffers());
@@ -180,7 +182,7 @@ TEST(ZeroCopyRuntime, LegacyPerPacketOperatorsStillWork) {
       void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
     };
     return std::make_unique<Fwd>(sink);
-  }, 1, 0);
+  }, 2, 0);
   g.connect("src", "sink");
 
   auto job = rt.submit(g);

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -88,8 +89,10 @@ TEST_F(TcpFixture, LargeTransferIsLossless) {
   std::vector<uint8_t> big(2 << 20);
   for (auto& x : big) x = static_cast<uint8_t>(rng.next_u64());
   size_t sent = 0;
-  std::atomic<bool> writable{true};
-  client->set_writable_callback([&] { writable.store(true); });
+  // Shared with the callback, which close() in TearDown fires once more
+  // from the loop thread after this frame is gone.
+  auto writable = std::make_shared<std::atomic<bool>>(true);
+  client->set_writable_callback([writable] { writable->store(true); });
 
   std::thread reader_thread;
   std::vector<uint8_t> got;
@@ -101,8 +104,8 @@ TEST_F(TcpFixture, LargeTransferIsLossless) {
     if (s == SendStatus::kOk) {
       sent += chunk;
     } else if (s == SendStatus::kBlocked) {
-      writable.store(false);
-      while (!writable.load()) std::this_thread::yield();
+      writable->store(false);
+      while (!writable->load()) std::this_thread::yield();
     } else {
       FAIL() << "connection closed mid-send";
     }
@@ -126,17 +129,19 @@ TEST_F(TcpFixture, SenderBlocksWhenReceiverStopsDraining) {
   // must eventually observe kBlocked (kernel buffers + inbound cap fill).
   EXPECT_EQ(s, SendStatus::kBlocked);
 
-  // Draining the receiver eventually restores writability.
-  std::atomic<bool> writable{false};
-  client->set_writable_callback([&] { writable.store(true); });
+  // Draining the receiver eventually restores writability. The flag is
+  // shared with the callback, which close() in TearDown fires once more
+  // from the loop thread after this frame is gone.
+  auto writable = std::make_shared<std::atomic<bool>>(false);
+  client->set_writable_callback([writable] { writable->store(true); });
   while (auto c = server->try_receive()) {
   }
-  for (int i = 0; i < 400 && !writable.load(); ++i) {
+  for (int i = 0; i < 400 && !writable->load(); ++i) {
     std::this_thread::sleep_for(5ms);
     while (auto c = server->try_receive()) {
     }
   }
-  EXPECT_TRUE(writable.load());
+  EXPECT_TRUE(writable->load());
 }
 
 TEST_F(TcpFixture, CloseIsSynchronousAndIdempotent) {

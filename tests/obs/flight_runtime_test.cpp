@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -134,13 +135,16 @@ TEST(FlightRuntime, WatchdogStallProducesIncidentBundle) {
 
   // First packet wedges inside "proc" for 900 ms; the watchdog (200 ms
   // timeout) must escalate, and escalation fires the incident trigger.
+  // "proc" runs on resource 1 so it keeps a task of its own (chained behind
+  // src it would have none, and its dispatches would be blamed on src);
+  // proc->sink, both on resource 1, is chained.
   auto armed = std::make_shared<std::atomic<bool>>(true);
   auto sink = std::make_shared<CountingSink>();
   GraphConfig cfg;
   cfg.buffer.capacity_bytes = 2048;
   cfg.buffer.flush_interval_ns = 1'000'000;
   StreamGraph g("stall-flight", cfg);
-  g.add_source("src", [] { return std::make_unique<BytesSource>(500, 64); });
+  g.add_source("src", [] { return std::make_unique<BytesSource>(500, 64); }, 1, 0);
   g.add_processor("proc", [armed]() -> std::unique_ptr<StreamProcessor> {
     struct StallOnce : StreamProcessor {
       std::shared_ptr<std::atomic<bool>> armed;
@@ -152,7 +156,7 @@ TEST(FlightRuntime, WatchdogStallProducesIncidentBundle) {
       }
     };
     return std::make_unique<StallOnce>(armed);
-  });
+  }, 1, 1);
   g.add_processor("sink", [sink]() -> std::unique_ptr<StreamProcessor> {
     struct Fwd : StreamProcessor {
       std::shared_ptr<CountingSink> inner;
@@ -160,11 +164,11 @@ TEST(FlightRuntime, WatchdogStallProducesIncidentBundle) {
       void process(StreamPacket& p, Emitter& out) override { inner->process(p, out); }
     };
     return std::make_unique<Fwd>(sink);
-  });
+  }, 1, 1);
   g.connect("src", "proc");
   g.connect("proc", "sink");
 
-  Runtime rt(1, {.worker_threads = 1, .io_threads = 1});
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1});
   auto job = rt.submit(g);
   fault::WatchdogOptions opt;
   opt.stall_timeout_ns = 200'000'000;
@@ -193,6 +197,25 @@ TEST(FlightRuntime, WatchdogStallProducesIncidentBundle) {
   // Telemetry snapshot and topology rode along.
   EXPECT_TRUE(journal.telemetry.is_object());
   ASSERT_FALSE(journal.topologies.empty());
+
+  // The topology says which links are chained; the edge roll-up reports
+  // the buffered src->proc edge and skips the chained proc->sink call.
+  std::map<int64_t, bool> chained;
+  for (const JsonValue& topo : journal.topologies) {
+    if (topo.string_or("job", "") != "stall-flight") continue;
+    for (const JsonValue& link : topo.at("links").as_array())
+      chained[link.at("id").as_int()] = link.at("chained").as_bool();
+  }
+  EXPECT_EQ(chained, (std::map<int64_t, bool>{{0, false}, {1, true}}));
+  bool saw_src_edge = false;
+  for (const auto& e : obs::edge_latency(journal)) {
+    EXPECT_NE(e.link, 1u) << "chained link reported as an edge";
+    if (e.link == 0) {
+      saw_src_edge = true;
+      EXPECT_GT(e.flushes, 0u);
+    }
+  }
+  EXPECT_TRUE(saw_src_edge);
   remove_tree(dir);
 }
 

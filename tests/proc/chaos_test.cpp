@@ -1,8 +1,11 @@
 // Chaos plans: parsing, seeded-random expansion determinism, and the
-// fire-exactly-once replay semantics of ChaosController. Reproducibility is
+// fire-exactly-once replay semantics of ChaosController (time triggers in
+// the supervisor, event triggers reported by the workers). Reproducibility is
 // the point of the whole design — a chaos run must be re-runnable from its
 // plan file alone, so expansion may depend on nothing but (plan, seed).
 #include <gtest/gtest.h>
+
+#include <signal.h>
 
 #include "proc/chaos.hpp"
 
@@ -69,28 +72,39 @@ TEST(ChaosController, FiresEachActionExactlyOnce) {
   ]})");
   ChaosController ctl(std::move(plan));
 
-  EXPECT_TRUE(ctl.due(50, 0).empty());
-  auto due = ctl.due(120, 0);  // wall-clock trigger crossed
+  EXPECT_TRUE(ctl.due(50).empty());
+  auto due = ctl.due(120);  // wall-clock trigger crossed
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0]->resource, 0u);
   EXPECT_TRUE(due[0]->fired);
-  EXPECT_TRUE(ctl.due(200, 0).empty()) << "an action fires once";
+  EXPECT_TRUE(ctl.due(200).empty()) << "an action fires once";
+  EXPECT_TRUE(ctl.due(1'000'000).empty()) << "event triggers never come due on the clock";
   EXPECT_FALSE(ctl.exhausted());
 
-  due = ctl.due(200, 6000);  // event trigger crossed
-  ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0]->resource, 1u);
+  // The event trigger fires inside the worker, which reports it.
+  ChaosAction* fired = ctl.mark_fired(1);
+  ASSERT_NE(fired, nullptr);
+  EXPECT_EQ(fired->resource, 1u);
+  EXPECT_EQ(ctl.mark_fired(1), nullptr) << "a report for a fired action is ignored";
+  EXPECT_EQ(ctl.mark_fired(0), nullptr);
+  EXPECT_EQ(ctl.mark_fired(7), nullptr) << "unknown index";
   EXPECT_EQ(ctl.fired(), 2u);
   EXPECT_TRUE(ctl.exhausted());
 }
 
-TEST(ChaosController, EitherTriggerFiresCombinedAction) {
-  // An action with both triggers fires on whichever crosses first.
-  ChaosPlan plan = parse(
-      R"({"actions": [{"action": "stop", "resource": 0, "at_ms": 500, "at_events": 100}]})");
-  ChaosController ctl(std::move(plan));
-  EXPECT_TRUE(ctl.due(10, 50).empty());
-  EXPECT_EQ(ctl.due(20, 150).size(), 1u) << "event trigger beats the clock";
+TEST(ChaosPlan, RejectsActionWithBothTriggers) {
+  // Time triggers fire in the supervisor and event triggers in the worker,
+  // so an action with both could fire twice.
+  EXPECT_THROW(
+      parse(R"({"actions": [{"action": "stop", "resource": 0, "at_ms": 500, "at_events": 100}]})"),
+      JsonError);
+}
+
+TEST(ChaosPlan, SignalPerAction) {
+  EXPECT_EQ(signal_of(ChaosAction::Kind::kKill), SIGKILL);
+  EXPECT_EQ(signal_of(ChaosAction::Kind::kStop), SIGSTOP);
+  EXPECT_EQ(signal_of(ChaosAction::Kind::kCont), SIGCONT);
+  EXPECT_EQ(signal_of(ChaosAction::Kind::kPartition), 0);
 }
 
 }  // namespace

@@ -82,13 +82,14 @@ TEST_F(ProcTest, SigkillTwoResourcesRecoversByteIdentical) {
   opts.incident_dir = work_dir + "/incidents";
   opts.chaos = ChaosPlan::from_json(JsonValue::parse(R"({"actions": [
     {"action": "kill", "resource": 1, "at_events": 15000},
-    {"action": "kill", "resource": 0, "at_events": 45000}
+    {"action": "kill", "resource": 0, "at_events": 10000}
   ]})"),
                                     2);
   SupervisorReport report = ResourceSupervisor(std::move(opts)).run();
 
   ASSERT_TRUE(report.completed) << report.failure;
   EXPECT_EQ(report.chaos_fired, 2u);
+  EXPECT_EQ(report.chaos_missed, 0u);
   EXPECT_GE(report.worker_deaths, 2u);
   EXPECT_GE(report.recoveries, 2u);
   EXPECT_EQ(report.recovery_ms.size(), report.recoveries);
@@ -158,6 +159,23 @@ TEST_F(ProcTest, RecoveryBudgetExhaustionFailsDeployment) {
   EXPECT_GE(report.worker_deaths, 1u);
 }
 
+TEST_F(ProcTest, UnreachedChaosActionsCountAsMissed) {
+  // An event trigger past the worker's whole stream and a time trigger past
+  // the whole run never act: the report says so instead of staying silent.
+  SupervisorOptions opts = base_options("etl_taxi");
+  opts.chaos = ChaosPlan::from_json(JsonValue::parse(R"({"actions": [
+    {"action": "kill", "resource": 1, "at_events": 1000000000},
+    {"action": "kill", "resource": 0, "at_ms": 600000}
+  ]})"),
+                                    2);
+  SupervisorReport report = ResourceSupervisor(std::move(opts)).run();
+  ASSERT_TRUE(report.completed) << report.failure;
+  EXPECT_EQ(report.chaos_fired, 0u);
+  EXPECT_EQ(report.chaos_missed, 2u);
+  EXPECT_EQ(report.recoveries, 0u);
+  expect_golden(report, "etl_taxi");
+}
+
 TEST_F(ProcTest, ResourcesOfReadsExplicitPins) {
   EXPECT_EQ(ResourceSupervisor::resources_of(scenario_path("etl_taxi")), 2u);
   EXPECT_EQ(ResourceSupervisor::resources_of(scenario_path("stats_grid")), 2u);
@@ -185,12 +203,16 @@ TEST_F(ProcTest, ChaosMatrixAllScenarios) {
     opts.checkpoint_interval_ms = 30;
     opts.chaos = ChaosPlan::from_json(JsonValue::parse(R"({"actions": [
       {"action": "kill", "resource": 1, "at_events": 15000},
-      {"action": "kill", "resource": 0, "at_events": 45000}
+      {"action": "kill", "resource": 0, "at_events": 10000}
     ]})"),
                                       2);
     SupervisorReport report = ResourceSupervisor(std::move(opts)).run();
     ASSERT_TRUE(report.completed) << scenario << ": " << report.failure;
-    EXPECT_GE(report.recoveries, 1u) << scenario;
+    // Both kills fire inside their workers at a fixed count of each
+    // worker's own packets in, so neither can be lost to a fast finish.
+    EXPECT_EQ(report.chaos_fired, 2u) << scenario;
+    EXPECT_EQ(report.chaos_missed, 0u) << scenario;
+    EXPECT_GE(report.recoveries, 2u) << scenario;
     expect_golden(report, scenario);
   }
 }

@@ -137,15 +137,17 @@ std::string runtime_tumbling_digest(std::shared_ptr<const std::vector<StreamPack
   StreamGraph g("window-prop", cfg);
   auto acc = std::make_shared<DigestAccumulator>();
   g.add_source("src", [packets] { return std::make_unique<ReplaySource>(packets); }, 1, 0);
+  // The window runs on a second resource so both links stay buffered edges
+  // whose flushes the jitter moves (same-resource 1->1 links are chained).
   g.add_processor("win", [] {
     return std::make_unique<window::TumblingAggregator>(
         window::WindowConfig{kWindowMs, 0, 2, 1});
-  }, 1, 0);
+  }, 1, 1);
   g.add_processor("sink", [acc] { return std::make_unique<DigestSink>(acc); }, 1, 0);
   g.connect("src", "win");
   g.connect("win", "sink");
 
-  Runtime rt(1, {.worker_threads = 1, .io_threads = 1});
+  Runtime rt(2, {.worker_threads = 1, .io_threads = 1});
   auto job = rt.submit(g);
   job->start();
   EXPECT_TRUE(job->wait(std::chrono::minutes(2)));

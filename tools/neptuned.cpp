@@ -51,7 +51,9 @@ void usage() {
                "  --restore-epoch E     restore this epoch before starting\n"
                "  --generation G        deployment generation\n"
                "  --heartbeat-ms N      control heartbeat cadence\n"
-               "  --partition AT:DUR    sender-stall window (ms), repeatable\n");
+               "  --partition AT:DUR    sender-stall window (ms), repeatable\n"
+               "  --chaos-event I:SIG:N raise SIG on this worker when its packets-in\n"
+               "                        count reaches N, reporting plan action I first\n");
 }
 
 std::string self_path(const char* argv0) {
@@ -94,6 +96,7 @@ int run_supervise(proc::SupervisorOptions opts, const std::string& chaos_path,
   doc["worker_deaths"] = JsonValue(static_cast<int64_t>(report.worker_deaths));
   doc["gray_failures"] = JsonValue(static_cast<int64_t>(report.gray_failures));
   doc["chaos_fired"] = JsonValue(static_cast<int64_t>(report.chaos_fired));
+  doc["chaos_missed"] = JsonValue(static_cast<int64_t>(report.chaos_missed));
   doc["seq_violations"] = JsonValue(static_cast<int64_t>(report.seq_violations));
   doc["seconds"] = JsonValue(report.seconds);
   JsonArray rec;
@@ -188,6 +191,19 @@ int main(int argc, char** argv) {
       p.at_ms = std::stoll(spec.substr(0, colon));
       if (colon != std::string::npos) p.duration_ms = std::stoll(spec.substr(colon + 1));
       wopts.partitions.push_back(p);
+    } else if (a == "--chaos-event") {
+      std::string spec = next();
+      size_t c1 = spec.find(':');
+      size_t c2 = spec.find(':', c1 == std::string::npos ? c1 : c1 + 1);
+      if (c2 == std::string::npos) {
+        std::fprintf(stderr, "neptuned: --chaos-event wants INDEX:SIGNAL:EVENTS\n");
+        return 2;
+      }
+      proc::WorkerOptions::ChaosEvent e;
+      e.index = std::stoul(spec.substr(0, c1));
+      e.signal = std::stoi(spec.substr(c1 + 1, c2 - c1 - 1));
+      e.at_events = std::stoull(spec.substr(c2 + 1));
+      wopts.chaos_events.push_back(e);
     } else if (a == "--events") {
       wopts.events_override = std::stoull(next());
       sopts.events_override = wopts.events_override;
