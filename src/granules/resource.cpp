@@ -1,11 +1,16 @@
 #include "granules/resource.hpp"
 
+#include "common/clock.hpp"
 #include "common/log.hpp"
 #include "common/thread_util.hpp"
 
 namespace neptune::granules {
 
-void Resource::TaskEntry::request_reschedule() { owner->notify_data(id); }
+void Resource::TaskEntry::request_reschedule() { owner->enqueue(this); }
+
+void Resource::TaskEntry::request_reschedule_after(int64_t delay_ns) {
+  owner->park(this, now_ns() + delay_ns);
+}
 
 void Resource::TaskEntry::request_termination() {
   terminate_requested.store(true, std::memory_order_release);
@@ -103,6 +108,13 @@ void Resource::stop() {
     if (t.joinable()) t.join();
   }
   io_threads_.clear();
+  // Drop parked entries: a restarted resource starts with an empty park list.
+  {
+    std::lock_guard lk(parked_mu_);
+    for (TaskEntry* e : parked_) e->park_deadline_ns = 0;
+    parked_.clear();
+    next_park_ns_.store(kNoPark, std::memory_order_release);
+  }
   // Retire (don't destroy) the loops: channels inside surviving task entries
   // hold raw EventLoop* and post to them during their own teardown. A post
   // to a stopped loop just parks the task; posting to a freed loop is UB.
@@ -141,26 +153,89 @@ void Resource::notify_data(uint64_t task_id) {
 }
 
 void Resource::enqueue(TaskEntry* entry) {
-  RunState expected = RunState::kIdle;
-  if (entry->state.compare_exchange_strong(expected, RunState::kQueued,
-                                           std::memory_order_acq_rel)) {
-    if (run_queue_.push(entry) != QueueResult::kOk) {
-      // Shutting down; leave the task in Queued — workers are gone anyway.
+  // Retry from whatever state the failed CAS observed: a task seen Running
+  // may finish (-> Idle) before it is marked dirty, and that Idle task must
+  // then be queued, or this notify is lost.
+  RunState cur = entry->state.load(std::memory_order_acquire);
+  for (;;) {
+    switch (cur) {
+      case RunState::kIdle:
+        if (entry->state.compare_exchange_weak(cur, RunState::kQueued,
+                                               std::memory_order_acq_rel)) {
+          // kClosed while shutting down leaves the task Queued; the
+          // workers are gone anyway.
+          run_queue_.push(entry);
+          return;
+        }
+        break;
+      case RunState::kRunning:
+        // Mark dirty so the worker re-enqueues after the current execution.
+        if (entry->state.compare_exchange_weak(cur, RunState::kRunningDirty,
+                                               std::memory_order_acq_rel))
+          return;
+        break;
+      default:  // Queued / RunningDirty / Terminated: a run is already due
+        return;
     }
-    return;
   }
-  if (expected == RunState::kRunning) {
-    // Mark dirty so the worker re-enqueues after the current execution.
-    entry->state.compare_exchange_strong(expected, RunState::kRunningDirty,
-                                         std::memory_order_acq_rel);
+}
+
+void Resource::park(TaskEntry* entry, int64_t deadline_ns) {
+  bool earliest = false;
+  {
+    std::lock_guard lk(parked_mu_);
+    if (entry->park_deadline_ns == 0) parked_.push_back(entry);
+    entry->park_deadline_ns = deadline_ns;
+    if (deadline_ns < next_park_ns_.load(std::memory_order_relaxed)) {
+      next_park_ns_.store(deadline_ns, std::memory_order_release);
+      earliest = true;
+    }
   }
-  // Queued / RunningDirty / Terminated: nothing to do.
+  // The parking worker re-reads the deadline once execute() returns, but a
+  // peer may be blocked with no deadline at all: kick one awake to re-read
+  // it. A full queue needs no kick; its workers are coming round anyway.
+  if (earliest && config_.worker_threads > 1) run_queue_.try_push(nullptr);
+}
+
+int64_t Resource::release_due_parked(int64_t now) {
+  thread_local std::vector<TaskEntry*> due;  // reused: no allocation per release
+  due.clear();
+  int64_t next = kNoPark;
+  {
+    std::lock_guard lk(parked_mu_);
+    for (size_t i = 0; i < parked_.size();) {
+      TaskEntry* e = parked_[i];
+      if (e->park_deadline_ns <= now) {
+        e->park_deadline_ns = 0;
+        due.push_back(e);
+        parked_[i] = parked_.back();
+        parked_.pop_back();
+      } else {
+        next = std::min(next, e->park_deadline_ns);
+        ++i;
+      }
+    }
+    next_park_ns_.store(next, std::memory_order_release);
+  }
+  for (TaskEntry* e : due) enqueue(e);  // as a notify: Idle -> Queued
+  return next;
 }
 
 void Resource::worker_main(size_t) {
   for (;;) {
-    auto popped = run_queue_.pop();
+    std::optional<TaskEntry*> popped;
+    int64_t next_park = next_park_ns_.load(std::memory_order_acquire);
+    if (next_park != kNoPark) {
+      int64_t now = now_ns();
+      if (next_park <= now) next_park = release_due_parked(now);
+      if (next_park != kNoPark) {
+        popped = run_queue_.pop_for(std::chrono::nanoseconds(next_park - now));
+        if (!popped && !run_queue_.closed()) continue;  // a park came due
+      }
+    }
+    if (next_park == kNoPark) popped = run_queue_.pop();
     if (!popped) return;  // closed and drained
+    if (*popped == nullptr) continue;  // a kick: re-read the park deadline
     scheduler_wakeups_.fetch_add(1, std::memory_order_relaxed);
     run_task(*popped);
   }

@@ -7,17 +7,24 @@
 //
 //        notify()                 worker picks up             execute returns
 //   Idle ---------> Queued ------------------------> Running -----------------> Idle
-//                     ^                                 | notify() while running
-//                     +------ re-enqueued <--- RunningDirty
+//     ^               ^                                 | notify() while running
+//     |               +------ re-enqueued <--- RunningDirty
+//     | park deadline passes (a worker releases it: enqueue, as a notify)
+//   parked (still Idle; request_reschedule_after)
 //
 // The Running/RunningDirty split guarantees (a) at most one thread runs a
 // task instance at any time and (b) no lost wakeups — both are required
-// for NEPTUNE's in-order, exactly-once packet processing.
+// for NEPTUNE's in-order, exactly-once packet processing. A parked task is
+// an Idle task with a deadline in the resource's park list: workers release
+// due entries between tasks and block on the run queue only until the
+// earliest deadline.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -82,6 +89,7 @@ class Resource {
       return executions.load(std::memory_order_relaxed);
     }
     void request_reschedule() override;
+    void request_reschedule_after(int64_t delay_ns) override;
     void request_termination() override;
 
     uint64_t id = 0;
@@ -93,12 +101,21 @@ class Resource {
     std::atomic<bool> terminate_requested{false};
     EventLoop::TimerId timer_id = 0;
     Resource* owner = nullptr;
+    /// Park deadline (now_ns() clock) while in parked_; 0 when not parked.
+    /// Guarded by the owner's parked_mu_.
+    int64_t park_deadline_ns = 0;
   };
+
+  static constexpr int64_t kNoPark = std::numeric_limits<int64_t>::max();
 
   void worker_main(size_t worker_index);
   void enqueue(TaskEntry* entry);
   void run_task(TaskEntry* entry);
   void arm_periodic_timer(TaskEntry* entry);
+  void park(TaskEntry* entry, int64_t deadline_ns);
+  /// Enqueue every parked task due by `now`; returns the earliest deadline
+  /// still parked (kNoPark when none).
+  int64_t release_due_parked(int64_t now);
 
   ResourceConfig config_;
   std::atomic<bool> running_{false};
@@ -114,7 +131,18 @@ class Resource {
   std::vector<std::unique_ptr<TaskEntry>> tasks_;
   std::atomic<uint64_t> next_task_id_{1};
 
+  /// Runnable tasks. A nullptr entry is a kick: it wakes one blocked
+  /// worker to re-read the park deadline.
   BoundedQueue<TaskEntry*> run_queue_;
+
+  // Parked tasks (request_reschedule_after). next_park_ns_ is the earliest
+  // deadline, or kNoPark: a worker's only cost while nothing is parked is
+  // loading it. It may run early (a re-park moved a deadline later), never
+  // late.
+  std::mutex parked_mu_;
+  std::vector<TaskEntry*> parked_;
+  std::atomic<int64_t> next_park_ns_{kNoPark};
+
   std::vector<std::thread> worker_threads_;
   std::vector<std::unique_ptr<EventLoop>> io_loops_;
   std::vector<std::thread> io_threads_;

@@ -40,6 +40,10 @@ class TaskContext {
   /// Ask the scheduler to run this task again promptly (even without new
   /// data); used by sources that generate data.
   virtual void request_reschedule() = 0;
+  /// Ask the scheduler to run this task again no sooner than `delay_ns`
+  /// from now (a park). The task is idle meanwhile, so a data notify still
+  /// runs it at once; used by sources that had nothing ready.
+  virtual void request_reschedule_after(int64_t delay_ns) = 0;
   /// Permanently stop scheduling this task.
   virtual void request_termination() = 0;
 };

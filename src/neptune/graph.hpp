@@ -36,6 +36,14 @@ struct GraphConfig {
   size_t max_batches_per_execution = 8;
 };
 
+/// How long a source that had nothing ready is parked before its next
+/// next() call: next() returned true but emitted nothing, and its outputs
+/// were not backpressured. 2% of the default 5 ms flush bound, so a park
+/// adds little to a packet's latency while an idle source stops spinning
+/// its worker (paper §III-B2: a task runs per batch, not per poll). The
+/// runtime and the DST model both park for exactly this long.
+inline constexpr int64_t kIdleSourceParkNs = 100'000;
+
 enum class OperatorKind { kSource, kProcessor };
 
 struct OperatorDecl {

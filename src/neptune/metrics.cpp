@@ -25,6 +25,7 @@ std::string format_metrics(const JobMetricsSnapshot& snap) {
     a.blocked_ns += m.blocked_ns;
     a.seq_violations += m.seq_violations;
     a.executions += m.executions;
+    a.idle_parks += m.idle_parks;
     a.reconnects += m.reconnects;
     a.corrupt_frames_dropped += m.corrupt_frames_dropped;
     a.dup_frames_dropped += m.dup_frames_dropped;

@@ -27,6 +27,7 @@ struct OperatorMetrics {
   std::atomic<uint64_t> blocked_ns{0};       ///< cumulative time outputs sat blocked by flow control
   std::atomic<uint64_t> seq_violations{0};   ///< ordering/exactly-once breaches (must stay 0)
   std::atomic<uint64_t> executions{0};       ///< scheduled executions of the instance task
+  std::atomic<uint64_t> idle_parks{0};       ///< source executions that emitted nothing and parked
 
   // --- zero-copy path counters (paper §III-B3 taken to its limit) ------------
   std::atomic<uint64_t> serde_alloc_bytes{0};  ///< heap bytes copied deserializing string/bytes fields
@@ -75,6 +76,7 @@ struct OperatorMetricsSnapshot {
   uint64_t blocked_ns = 0;
   uint64_t seq_violations = 0;
   uint64_t executions = 0;
+  uint64_t idle_parks = 0;
   uint64_t serde_alloc_bytes = 0;
   uint64_t frame_copies = 0;
   uint64_t batch_dispatches = 0;
@@ -143,6 +145,7 @@ inline OperatorMetricsSnapshot snapshot_of(const OperatorMetrics& m) {
   s.blocked_ns = m.blocked_ns.load(std::memory_order_relaxed);
   s.seq_violations = m.seq_violations.load(std::memory_order_relaxed);
   s.executions = m.executions.load(std::memory_order_relaxed);
+  s.idle_parks = m.idle_parks.load(std::memory_order_relaxed);
   s.serde_alloc_bytes = m.serde_alloc_bytes.load(std::memory_order_relaxed);
   s.frame_copies = m.frame_copies.load(std::memory_order_relaxed);
   s.batch_dispatches = m.batch_dispatches.load(std::memory_order_relaxed);

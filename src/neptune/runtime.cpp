@@ -329,6 +329,7 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
       return;
     }
     if (paused_.load(std::memory_order_acquire)) return;  // resume() re-notifies
+    const uint64_t emitted_before = packets_emitted_.load(std::memory_order_relaxed);
     bool more = source->next(*this, cfg_.source_batch_budget);
     if (!more) {
       source_exhausted_ = true;
@@ -336,6 +337,14 @@ class InstanceRuntime : public granules::ComputationalTask, public Emitter {
       return;
     }
     if (output_blocked_.load(std::memory_order_relaxed)) return;  // throttled (paper §III-B4)
+    if (packets_emitted_.load(std::memory_order_relaxed) == emitted_before) {
+      // Nothing was ready: park instead of spinning the worker. The task is
+      // idle meanwhile, so resume(), stop() and writable wakeups still
+      // notify it at once.
+      metrics_.idle_parks.fetch_add(1, std::memory_order_relaxed);
+      ctx.request_reschedule_after(kIdleSourceParkNs);
+      return;
+    }
     ctx.request_reschedule();
   }
 
@@ -1530,6 +1539,9 @@ void Runtime::register_job_telemetry(const std::shared_ptr<Job>& job) {
           {"neptune_watchdog_stalls_detected_total",
            "Watchdog stall detections attributed to this instance",
            &OperatorMetrics::watchdog_stalls},
+          {"neptune_operator_idle_parks_total",
+           "Source executions that found nothing ready and parked the task",
+           &OperatorMetrics::idle_parks},
       };
       for (const CounterSpec& c : kCounters) {
         job->telemetry_.push_back(reg.register_series(

@@ -65,8 +65,8 @@ struct DstOutLink {
 
 /// One operator instance run on the virtual clock. The execution logic is a
 /// line-for-line mirror of detail::InstanceRuntime with the granules
-/// TaskContext replaced by the `resched` flag and wakeup callbacks replaced
-/// by DstJob::notify events.
+/// TaskContext replaced by the `resched` / `park` flags and wakeup callbacks
+/// replaced by DstJob::notify events.
 class DstInstance : public Emitter {
  public:
   DstJob* job = nullptr;
@@ -92,6 +92,7 @@ class DstInstance : public Emitter {
   bool source_exhausted = false;
   bool close_called = false;
   bool resched = false;
+  bool park = false;  ///< request_reschedule_after(kIdleSourceParkNs)
   size_t next_edge = 0;
   std::deque<DstBatch> ready;
   std::vector<uint8_t> decompress_scratch;
@@ -138,6 +139,7 @@ class DstInstance : public Emitter {
     if (done) return;
     metrics.executions.fetch_add(1, std::memory_order_relaxed);
     resched = false;
+    park = false;
     slice_work = 0;
     if (!retry_blocked_outputs()) return;  // writable callback will re-notify
     if (kind == OperatorKind::kSource) {
@@ -162,6 +164,7 @@ class DstInstance : public Emitter {
       return;
     }
     if (paused) return;  // resume re-notifies
+    const uint64_t emitted_before = emitted;
     bool more = source->next(*this, cfg->source_batch_budget);
     if (!more) {
       source_exhausted = true;
@@ -169,6 +172,11 @@ class DstInstance : public Emitter {
       return;
     }
     if (output_blocked) return;  // throttled (§III-B4)
+    if (emitted == emitted_before) {  // nothing was ready: park
+      metrics.idle_parks.fetch_add(1, std::memory_order_relaxed);
+      park = true;
+      return;
+    }
     resched = true;
   }
 
@@ -552,6 +560,13 @@ void DstJob::schedule_execute(size_t inst_index, int64_t delay_ns) {
                        opts_.execute_overhead_ns +
                            static_cast<int64_t>(i.slice_work) * opts_.packet_cost_ns +
                            wakeup_jitter());
+    }
+    if (i.park && !i.done) {
+      // A parked task stays idle (a notify still runs it at once); at the
+      // deadline a worker releases it, which is a notify.
+      q_.schedule_in(kIdleSourceParkNs, [this, inst_index, ep] {
+        if (ep == epoch_) notify(inst_index);
+      });
     }
   });
 }

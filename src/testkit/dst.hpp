@@ -6,10 +6,11 @@
 // sim::EventQueue virtual clock. The only substitutions are the scheduler
 // (granules worker/IO threads become virtual-time events) and the clock
 // (StreamBuffer timers read the EventQueue). Execution mirrors
-// detail::InstanceRuntime step for step: source budgets, per-execution
-// batch limits, blocked-output descheduling, writable/data wakeups, flush
-// timers, finalize/close ordering, and the checkpoint pause → quiesce →
-// snapshot protocol.
+// detail::InstanceRuntime step for step: source budgets, idle-source parks
+// (kIdleSourceParkNs of virtual time), per-execution batch limits,
+// blocked-output descheduling, writable/data wakeups, flush timers,
+// finalize/close ordering, and the checkpoint pause → quiesce → snapshot
+// protocol.
 //
 // Why: schedule-sensitive defects (lost wakeups, backpressure leaks,
 // replay off-by-ones) hide behind races on the threaded runtime. Here the

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 namespace neptune::granules {
 namespace {
@@ -270,6 +273,136 @@ TEST(Resource, TaskExceptionsAreContained) {
   res.notify_data(bad_id);
   ASSERT_TRUE(eventually([&] { return bad->runs.load() >= 2; }));
   res.stop();
+}
+
+/// Consumer of a counter a producer publishes to: each execution drains
+/// everything published so far.
+class DrainTask : public ComputationalTask {
+ public:
+  const std::string& name() const override { return name_; }
+  void execute(TaskContext&) override {
+    drained.store(published.load(std::memory_order_acquire), std::memory_order_release);
+  }
+  std::atomic<uint64_t> published{0};
+  std::atomic<uint64_t> drained{0};
+
+ private:
+  std::string name_ = "drain";
+};
+
+TEST(Resource, PublishThenNotifyIsNeverLost) {
+  // The producer spins on `drained`, so its next publish + notify lands just
+  // as the execution that drained the last one is finishing: the notify sees
+  // Running, and the worker may store Idle before the notify can mark it
+  // dirty. A notify lost there strands the burst for good.
+  Resource res({.name = "t", .worker_threads = 1, .io_threads = 1});
+  auto task = std::make_shared<DrainTask>();
+  uint64_t id = res.deploy(task, ScheduleSpec::on_data());
+  res.start();
+  const auto stop_at = std::chrono::steady_clock::now() + 1500ms;
+  uint64_t bursts = 0;
+  while (std::chrono::steady_clock::now() < stop_at) {
+    for (uint64_t i = 0; i <= bursts % 4; ++i) {
+      task->published.fetch_add(1, std::memory_order_release);
+      res.notify_data(id);
+    }
+    const uint64_t want = task->published.load();
+    const auto deadline = std::chrono::steady_clock::now() + 2s;
+    while (task->drained.load(std::memory_order_acquire) < want) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "burst " << bursts << " never drained: a notify was lost";
+    }
+    ++bursts;
+  }
+  res.stop();
+  EXPECT_GT(bursts, 1000u);
+}
+
+/// Parks itself for `delay_ns` after each execution, `runs` times, and
+/// records when each execution started.
+class ParkingTask : public ComputationalTask {
+ public:
+  ParkingTask(int64_t delay_ns, int runs) : delay_ns_(delay_ns), runs_(runs) {}
+  const std::string& name() const override { return name_; }
+  void execute(TaskContext& ctx) override {
+    {
+      std::lock_guard lk(mu_);
+      starts_.push_back(std::chrono::steady_clock::now());
+    }
+    if (count.fetch_add(1) + 1 < runs_) ctx.request_reschedule_after(delay_ns_);
+  }
+  std::vector<std::chrono::steady_clock::time_point> starts() const {
+    std::lock_guard lk(mu_);
+    return starts_;
+  }
+  std::atomic<int> count{0};
+
+ private:
+  const int64_t delay_ns_;
+  const int runs_;
+  mutable std::mutex mu_;
+  std::vector<std::chrono::steady_clock::time_point> starts_;
+  std::string name_ = "parking";
+};
+
+TEST(Resource, RescheduleAfterNeverRunsEarly) {
+  constexpr int64_t kDelayNs = 2'000'000;
+  Resource res({.name = "t", .worker_threads = 1, .io_threads = 1});
+  auto task = std::make_shared<ParkingTask>(kDelayNs, 20);
+  uint64_t id = res.deploy(task, ScheduleSpec::on_data());
+  res.start();
+  res.notify_data(id);
+  ASSERT_TRUE(eventually([&] { return task->count.load() == 20; }));
+  res.stop();
+  auto starts = task->starts();
+  ASSERT_EQ(starts.size(), 20u);
+  for (size_t i = 1; i < starts.size(); ++i) {
+    EXPECT_GE(starts[i] - starts[i - 1], std::chrono::nanoseconds(kDelayNs)) << "run " << i;
+  }
+}
+
+TEST(Resource, ParkedTaskRerunsWhileOtherWorkerIsBusy) {
+  Resource res({.name = "t", .worker_threads = 2, .io_threads = 1});
+  auto busy = std::make_shared<GatedTask>();
+  auto parker = std::make_shared<ParkingTask>(1'000'000, 10);
+  uint64_t busy_id = res.deploy(busy, ScheduleSpec::on_data());
+  uint64_t parker_id = res.deploy(parker, ScheduleSpec::on_data());
+  res.start();
+  res.notify_data(busy_id);
+  ASSERT_TRUE(eventually([&] { return busy->in_execute.load(); }));  // one worker held
+  res.notify_data(parker_id);
+  EXPECT_TRUE(eventually([&] { return parker->count.load() == 10; }));
+  EXPECT_TRUE(busy->in_execute.load());  // all ten ran on the other worker
+  busy->gate_open.store(true);
+  res.stop();
+}
+
+TEST(Resource, NotifyRunsParkedTaskAtOnce) {
+  // A parked task is idle: a data notify runs it without waiting out the park.
+  Resource res({.name = "t", .worker_threads = 1, .io_threads = 1});
+  auto task = std::make_shared<ParkingTask>(60'000'000'000, 2);  // 60 s park
+  uint64_t id = res.deploy(task, ScheduleSpec::on_data());
+  res.start();
+  res.notify_data(id);
+  ASSERT_TRUE(eventually([&] { return task->count.load() == 1; }));
+  res.notify_data(id);
+  EXPECT_TRUE(eventually([&] { return task->count.load() == 2; }));
+  res.stop();
+}
+
+TEST(Resource, StopWithParkedTaskReturnsPromptly) {
+  // stop() wakes a worker blocked until a park deadline; it does not wait
+  // the park out.
+  Resource res({.name = "t", .worker_threads = 2, .io_threads = 1});
+  auto task = std::make_shared<ParkingTask>(60'000'000'000, 100);  // 60 s parks
+  uint64_t id = res.deploy(task, ScheduleSpec::on_data());
+  res.start();
+  res.notify_data(id);
+  ASSERT_TRUE(eventually([&] { return task->count.load() >= 1; }));
+  auto t0 = std::chrono::steady_clock::now();
+  res.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_EQ(task->count.load(), 1);
 }
 
 }  // namespace

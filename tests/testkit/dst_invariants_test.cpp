@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "neptune/workload.hpp"
 #include "testkit/workloads.hpp"
 
 namespace neptune::testkit {
@@ -125,6 +126,45 @@ TEST(DstInvariants, ExactlyOnceCheckerFlagsStateDrift) {
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(any_violation_contains(r, "exactly-once")) << r.summary();
   }
+}
+
+TEST(DstIdleSource, PacedSourceParksOnTheVirtualClock) {
+  // The runtime's wall-clock PacedSource: most executions find nothing due,
+  // and the model parks them for kIdleSourceParkNs of virtual time, as the
+  // runtime does. Wall-paced, so the schedule is not seed-replayable; the
+  // delivery and the execution bound are.
+  constexpr uint64_t kPaced = 400;  // 20k pkt/s: ~20 ms of wall time
+  auto bin = std::make_shared<Collected>();
+  GraphConfig cfg;
+  cfg.buffer.capacity_bytes = 512;
+  cfg.buffer.flush_interval_ns = 500'000;
+  cfg.source_batch_budget = 32;
+  StreamGraph g("dst-paced", cfg);
+  g.add_source("src", [] {
+    workload::PacedSourceConfig pc;
+    pc.rate_pps = 20'000;
+    pc.total_packets = kPaced;
+    pc.payload_bytes = 16;
+    return std::make_unique<workload::PacedSource>(pc);
+  });
+  g.add_processor("sink", [bin] { return std::make_unique<CollectorSink>(bin); });
+  g.connect("src", "sink");
+  DstOptions opts;
+  opts.seed = 3;
+  DstJob job(g, opts);
+  job.add_checkers(default_checkers(CapacityLimits{96, 32}));
+  DstReport r = job.run();
+  ASSERT_TRUE(r.ok()) << r.summary();
+  ASSERT_EQ(bin->ids.size(), kPaced);
+  for (size_t i = 0; i < bin->ids.size(); ++i) ASSERT_EQ(bin->ids[i], static_cast<int64_t>(i));
+
+  const OperatorMetricsSnapshot src = job.metrics()[0];
+  ASSERT_EQ(src.operator_id, "src");
+  EXPECT_GT(src.idle_parks, 0u);
+  // Every execution either emits or parks for kIdleSourceParkNs of virtual
+  // time, so virtual time bounds the parks.
+  EXPECT_LE(src.idle_parks, static_cast<uint64_t>(r.virtual_ns / kIdleSourceParkNs) + 1);
+  EXPECT_LE(src.executions, src.idle_parks + kPaced + 2);
 }
 
 }  // namespace
